@@ -9,8 +9,9 @@ path.  It splits the system into
   one dense matrix ``G_const`` at build time, so each Newton iteration
   contributes it with a single ``copyto`` + matvec;
 * a **per-iteration source RHS** -- the waveform values of independent
-  sources (evaluated in Python: waveforms are user callables, but there
-  are few sources);
+  sources (user callables, evaluated once per distinct element and
+  cached per timestamp and waveform identity), scattered with one
+  ``np.add.at``;
 * a **vectorized nonlinear restamp** -- every MOS transistor and diode
   of the circuit is grouped into a :class:`~repro.devices.mosfet.MosBank`
   / :class:`~repro.devices.diode.DiodeBank` and evaluated with one
@@ -35,6 +36,7 @@ changed.  ``sync`` runs once per solve, not once per Newton iteration.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -258,31 +260,54 @@ class CircuitAssembler:
         self._lin_cols = np.concatenate(cols_parts)
         self._lin_vals = np.concatenate(vals_parts)
         self._lin_csr = None  # rebuilt lazily after value syncs
-        # Source bookkeeping for the per-iteration RHS.  Waveform values
-        # are memoized per timestamp: every Newton iteration of one
-        # transient attempt shares ``time``.  ``time=None`` (DC) is
-        # never cached -- sweeps mutate source values between solves
-        # without the timestamp changing.  ``_vsrc_elements`` /
-        # ``_isrc_elements`` run parallel to the row/node lists and
-        # include the template sources of every instance (zip against
-        # the shorter ``_vsources`` would silently drop the tail).
-        self._vsrc_elements: list[VoltageSource] = list(self._vsources)
-        self._isrc_elements: list[CurrentSource] = list(self._isources)
-        self._vsrc_branch_rows = [e._aux[0] for e in self._vsources]
-        self._isrc_nodes = [e._idx for e in self._isources]
+        # Source bookkeeping for the per-iteration RHS.  The expanded
+        # source list is the top-level sources followed by every
+        # instance's template sources (vsources, then isources); value
+        # column k of :meth:`_source_values` is source k of that list.
+        # Template sources are shared by their instances, so each
+        # distinct element is evaluated once and expanded by index.
+        vsrc: list[VoltageSource] = list(self._vsources)
+        isrc: list[CurrentSource] = list(self._isources)
+        branch_rows = [e._aux[0] for e in self._vsources]
+        isrc_nodes = [e._idx for e in self._isources]
         for grp in self._instance_groups:
             plan = grp.plan
             if not (plan.vsrc_elements or plan.isrc_elements):
                 continue
             for inst in grp.instances:
-                self._vsrc_elements.extend(plan.vsrc_elements)
-                self._vsrc_branch_rows.extend(
-                    int(r) for r in inst.lut[plan.vsrc_rows])
-                self._isrc_elements.extend(plan.isrc_elements)
-                self._isrc_nodes.extend(
+                vsrc.extend(plan.vsrc_elements)
+                branch_rows.extend(int(r) for r in inst.lut[plan.vsrc_rows])
+                isrc.extend(plan.isrc_elements)
+                isrc_nodes.extend(
                     (int(p), int(n)) for p, n in inst.lut[plan.isrc_nodes])
-        self._src_cache_time: float | None = None
-        self._src_cache: tuple[list, list] | None = None
+        self._n_vsrc = len(vsrc)
+        unique: dict[int, int] = {}
+        self._src_unique: list[VoltageSource | CurrentSource] = []
+        for element in vsrc + isrc:
+            if id(element) not in unique:
+                unique[id(element)] = len(self._src_unique)
+                self._src_unique.append(element)
+        self._src_expand = np.array([unique[id(e)] for e in vsrc + isrc],
+                                    dtype=np.intp)
+        # One interleaved scatter in per-source order -- ``res[row] -=
+        # v`` for every vsource, then ``res[p] += i; res[n] -= i`` per
+        # isource (ground skipped) -- so duplicate targets accumulate
+        # in the same sequence as a per-source loop would.
+        idx, take, sign = [], [], []
+        for k, row in enumerate(branch_rows):
+            idx.append(row)
+            take.append(k)
+            sign.append(-1.0)
+        for k, (p, n) in enumerate(isrc_nodes, start=self._n_vsrc):
+            for node, node_sign in ((p, 1.0), (n, -1.0)):
+                if node >= 0:
+                    idx.append(node)
+                    take.append(k)
+                    sign.append(node_sign)
+        self._src_idx = np.array(idx, dtype=np.intp)
+        self._src_take = np.array(take, dtype=np.intp)
+        self._src_sign = np.array(sign)
+        self._src_cache: tuple | None = None
 
     def _build_mos(self) -> None:
         mos = list(self._mos)
@@ -504,25 +529,32 @@ class CircuitAssembler:
         xg = self._grounded(x)
         return tuple(xg[idx] for idx in indices)
 
+    def _source_values(self, time: float | None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """(expanded source values, signed scatter values) at ``time``.
+
+        Cached per timestamp (DC's ``None`` included) and waveform
+        identity: Newton iterations share both, while source stepping,
+        ``dc_sweep`` and lane overlays swap ``element.waveform``, which
+        misses the cache.  The cache holds the waveforms themselves, so
+        a recycled ``id`` can never alias a dead one.
+        """
+        waves = [e.waveform for e in self._src_unique]
+        cache = self._src_cache
+        if (cache is not None and cache[0] == time
+                and all(map(operator.is_, waves, cache[1]))):
+            return cache[2], cache[3]
+        unique = np.array([e.value_at(time) for e in self._src_unique],
+                          dtype=float)
+        values = unique[self._src_expand]
+        signed = self._src_sign * values[self._src_take]
+        self._src_cache = (time, waves, values, signed)
+        return values, signed
+
     def _source_rhs(self, res: np.ndarray, time: float | None) -> None:
-        """Independent-source excitations (Python loop: waveforms are
-        user callables, and source counts are small).  Cached per
-        timestamp: Newton iterations of one attempt share ``time``."""
-        if time is not None and time == self._src_cache_time:
-            vsrc_vals, isrc_vals = self._src_cache
-        else:
-            vsrc_vals = [e.value_at(time) for e in self._vsrc_elements]
-            isrc_vals = [e.value_at(time) for e in self._isrc_elements]
-            if time is not None:
-                self._src_cache_time = time
-                self._src_cache = (vsrc_vals, isrc_vals)
-        for row, value in zip(self._vsrc_branch_rows, vsrc_vals):
-            res[row] -= value
-        for (p, n), value in zip(self._isrc_nodes, isrc_vals):
-            if p >= 0:
-                res[p] += value
-            if n >= 0:
-                res[n] -= value
+        """Independent-source excitations, added into ``res`` in the
+        per-source order (``np.add.at`` accumulates sequentially)."""
+        np.add.at(res, self._src_idx, self._source_values(time)[1])
 
     def _mos_values(self, res: np.ndarray, x: np.ndarray) -> np.ndarray:
         """One MOS bank evaluation: drain/source currents accumulated

@@ -70,8 +70,7 @@ import numpy as np
 from .. import telemetry
 from ..errors import AnalysisError, ConvergenceError, NetlistError
 from .elements import CurrentSource, Resistor, VoltageSource
-from .sparse import (SparseSystem, coo_to_csr, sparse_available,
-                     sparse_factorize)
+from .sparse import SparseSystem, coo_to_csr, sparse_available
 from .strategies import (DEFAULT_LADDER, GminSteppingStrategy,
                          NewtonOptions, SolverDiagnostics, StageReport,
                          run_ladder, step_converged)
@@ -360,41 +359,30 @@ class BatchAssembler(CircuitAssembler):
                     dg[li, k] = base_g[k] / factor - base_g[k]
             self._rov_dg = dg
 
-        # Source overlays: per-source (B,) value arrays, None when no
-        # lane overrides that source.
-        vsrc_over: dict[str, np.ndarray] = {}
-        isrc_over: dict[str, np.ndarray] = {}
-        vsrc_names = {e.name for e in self._vsources}
-        isrc_names = {e.name for e in self._isources}
+        # Source overlays: one (B,) value column per source any lane
+        # overrides, substituted into the expanded source values at
+        # that source's column.  Overrides address top-level sources
+        # only (the head of each expanded list), so a template source
+        # that happens to share a top-level source's name is never
+        # accidentally overridden.
+        columns = {e.name: k for k, e in enumerate(self._vsources)}
+        columns.update((e.name, self._n_vsrc + k)
+                       for k, e in enumerate(self._isources))
+        over: dict[int, np.ndarray] = {}
         for li, lane in enumerate(self.lanes):
             for name, value in lane.source_values:
-                if name in vsrc_names:
-                    table = vsrc_over
-                    base = next(e for e in self._vsources
-                                if e.name == name)
-                elif name in isrc_names:
-                    table = isrc_over
-                    base = next(e for e in self._isources
-                                if e.name == name)
-                else:
+                if name not in columns:
                     raise AnalysisError(
                         f"{name!r} is not an independent source of "
                         f"{self.compiled.circuit.name!r}")
-                if name not in table:
-                    table[name] = np.full(self.batch,
-                                          base.value_at(None))
-                table[name][li] = float(value)
-        # Parallel to the *expanded* source lists (top-level sources
-        # followed by every instance's template sources).  Overrides
-        # are looked up against the top-level prefix only, so a
-        # template source that happens to share a top-level source's
-        # name is never accidentally overridden.
-        n_inst_v = len(self._vsrc_elements) - len(self._vsources)
-        n_inst_i = len(self._isrc_elements) - len(self._isources)
-        self._vsrc_over = ([vsrc_over.get(e.name) for e in self._vsources]
-                           + [None] * n_inst_v)
-        self._isrc_over = ([isrc_over.get(e.name) for e in self._isources]
-                           + [None] * n_inst_i)
+                col = columns[name]
+                if col not in over:
+                    base = self._src_unique[self._src_expand[col]]
+                    over[col] = np.full(self.batch, base.value_at(None))
+                over[col][li] = float(value)
+        self._src_over_cols = np.array(list(over), dtype=np.intp)
+        self._src_over_vals = (np.column_stack(list(over.values()))
+                               if over else None)
 
     # -- stacked hot path -----------------------------------------------
 
@@ -407,24 +395,16 @@ class BatchAssembler(CircuitAssembler):
 
     def _batch_source_rhs(self, res: np.ndarray, lane_idx: np.ndarray,
                           time: float | None) -> None:
-        """Independent-source excitations into the stacked residual,
-        honouring per-lane value overrides."""
-        for element, row, over in zip(self._vsrc_elements,
-                                      self._vsrc_branch_rows,
-                                      self._vsrc_over):
-            if over is None:
-                res[:, row] -= element.value_at(time)
-            else:
-                res[:, row] -= over[lane_idx]
-        for element, (p, n), over in zip(self._isrc_elements,
-                                         self._isrc_nodes,
-                                         self._isrc_over):
-            value = (element.value_at(time) if over is None
-                     else over[lane_idx])
-            if p >= 0:
-                res[:, p] += value
-            if n >= 0:
-                res[:, n] -= value
+        """Independent-source excitations into the stacked residual:
+        the serial scatter of :meth:`_source_rhs`, with the per-lane
+        value overrides substituted as columns."""
+        values, signed = self._source_values(time)
+        if self._src_over_vals is not None:
+            lane_values = np.tile(values, (res.shape[0], 1))
+            lane_values[:, self._src_over_cols] = \
+                self._src_over_vals[lane_idx]
+            signed = self._src_sign * lane_values[:, self._src_take]
+        np.add.at(res, (..., self._src_idx), signed)
 
     def _batch_mos_scatter(self, res: np.ndarray, Xg: np.ndarray,
                            lane_idx: np.ndarray) -> np.ndarray:
@@ -1009,7 +989,8 @@ def _solve_stacked_sparse(system: SparseSystem, vals: np.ndarray,
     SuperLU handle first tries a chord step, accepted only under the
     ``lu_contraction`` monitor; otherwise its CSC data row is
     numerically refactorized on the shared ``indices``/``indptr``
-    structure (the symbolic phase never repeats).  Exactly-singular and
+    structure (the column ordering, fixed by the system's first
+    factorization, is never recomputed).  Exactly-singular and
     non-finite lanes degrade to dense least squares; a NaN-parameter
     lane produces a NaN row that flows into the caller's non-finite
     kick-out, i.e. the per-lane serial-ladder fallback.
@@ -1039,8 +1020,12 @@ def _solve_stacked_sparse(system: SparseSystem, vals: np.ndarray,
                         if tspan is not None:
                             tspan.inc("lu_reuses")
                         continue
-        a_csc = system.matrix_from_data(data[k])
-        handle = sparse_factorize(a_csc)
+        ordered = system.perm_c is not None
+        handle = system.factorize(data[k])
+        if not ordered and system.perm_c is not None:
+            # That first factorization fixed the column order: re-emit
+            # the remaining rows in it.
+            data = system.batch_data(vals)
         fresh[k] = True
         if chord is not None:
             chord.handles[lane] = handle
@@ -1053,7 +1038,7 @@ def _solve_stacked_sparse(system: SparseSystem, vals: np.ndarray,
             dX[k] = handle.solve(rhs)
         else:
             try:
-                dX[k], *_ = np.linalg.lstsq(a_csc.toarray(), rhs,
+                dX[k], *_ = np.linalg.lstsq(system.toarray(data[k]), rhs,
                                             rcond=None)
             except np.linalg.LinAlgError:
                 dX[k] = np.nan

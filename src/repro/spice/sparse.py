@@ -13,11 +13,15 @@ the dense scatter).
 
 The expensive symbolic work -- triplet deduplication, the CSC
 ``indptr``/``indices`` structure, the per-segment slot maps -- is done
-once per compiled circuit and shared by every factorization; SuperLU's
-column ordering (COLAMD) depends only on that fixed structure, so
-repeated ``splu`` calls redo only the numeric phase on identical
-symbolic state.  Cross-iteration and cross-step factorization reuse
-itself is the chord-Newton discipline of
+once per compiled circuit and shared by every factorization.  So is
+SuperLU's column ordering: COLAMD (plus the elimination-tree postorder
+SuperLU composes into it) depends only on that fixed structure, so
+:meth:`SparseSystem.factorize` computes it once, on the system's first
+factorization; from then on the system emits its CSC data already
+permuted and factors with ``permc_spec="NATURAL"`` -- the same pivot
+sequence, fill and solutions, bit for bit, without re-running the
+ordering.  Cross-iteration and cross-step factorization reuse itself is
+the chord-Newton discipline of
 :class:`~repro.spice.strategies.LuReuseState`, which simply holds a
 SuperLU handle instead of a LAPACK ``(lu, piv)`` pair on this backend.
 
@@ -120,36 +124,111 @@ class SparseSystem:
         counts = np.bincount(unique_cols, minlength=size)
         self.indptr = np.zeros(size + 1, dtype=np.int32)
         np.cumsum(counts, out=self.indptr[1:])
-        # One SparseSystem build is the *symbolic* phase shared by every
-        # numeric factorization over this pattern (COLAMD depends only
-        # on the fixed structure).  Counting builds here lets campaigns
-        # assert the "one symbolic factorization per ensemble" contract
-        # from trace counters alone.
-        if telemetry.is_enabled():
-            telemetry.current_span().inc("sparse_symbolic_factorizations")
+        # SuperLU's column ordering, fixed by the first factorization
+        # (see :meth:`factorize`); None until then.
+        self.perm_c: np.ndarray | None = None
+        self.q: np.ndarray | None = None
+        self._natural: tuple | None = None
 
-    def matrix(self, values: np.ndarray):
-        """CSC matrix from a full triplet-values vector.
+    def data(self, values: np.ndarray) -> np.ndarray:
+        """CSC nonzero data, in the stored order, from a full
+        triplet-values vector.
 
         ``bincount`` accumulates duplicate triplets in input order --
         the same left-to-right association as the dense ``+=`` scatter.
         """
-        return self.matrix_from_data(
-            np.bincount(self.slot, weights=values, minlength=self.nnz))
+        return np.bincount(self.slot, weights=values, minlength=self.nnz)
+
+    def matrix(self, values: np.ndarray):
+        """The CSC matrix, in the original unknown order, from a full
+        triplet-values vector."""
+        return self._natural_matrix(self.data(values))
 
     def matrix_from_data(self, data: np.ndarray):
         """CSC matrix over the shared ``indices``/``indptr`` structure
         from one precomputed nonzero-data row (no copies: every lane of
-        a batched ensemble shares the symbolic arrays)."""
+        a batched ensemble shares the symbolic arrays).  The matrix is
+        the stored one -- symmetrically permuted once :meth:`factorize`
+        has fixed the ordering."""
         return _csc_matrix((data, self.indices, self.indptr),
                            shape=(self.size, self.size))
+
+    def toarray(self, data: np.ndarray) -> np.ndarray:
+        """Dense matrix, in the original unknown order, of one nonzero-
+        data row (the least-squares fallback's input)."""
+        return self._natural_matrix(data).toarray()
+
+    def _natural_matrix(self, data: np.ndarray):
+        if self._natural is None:
+            return self.matrix_from_data(data)
+        new_pos, indices, indptr = self._natural
+        return _csc_matrix((data[new_pos], indices, indptr),
+                           shape=(self.size, self.size))
+
+    def factorize(self, data: np.ndarray):
+        """Factorization handle for one nonzero-data row; None when the
+        matrix is singular or non-finite (see :func:`sparse_factorize`).
+
+        The first successful factorization runs COLAMD and adopts its
+        column ordering for the lifetime of the system (see
+        :meth:`_adopt_ordering`); every later :meth:`data` /
+        :meth:`batch_data` row comes out permuted and factors with
+        ``permc_spec="NATURAL"``.  Rows emitted *before* the adoption
+        are in the original order, so a caller holding several
+        re-emits them when :attr:`perm_c` changes.  Every handle solves
+        in the original unknown order.
+        """
+        a_csc = self.matrix_from_data(data)
+        if self.perm_c is None:
+            handle = sparse_factorize(a_csc)
+            if handle is not None:
+                self._adopt_ordering(handle.perm_c)
+            return handle
+        # Rows within a column keep their original storage order (not
+        # sorted by their new labels), which is what makes SuperLU's
+        # depth-first searches -- and so its pivot choices and
+        # arithmetic -- replay the COLAMD factorization exactly.
+        # Telling scipy the (duplicate-free) indices are canonical
+        # stops it from sorting them.
+        a_csc.has_canonical_format = True
+        lu = _checked_splu(a_csc, "NATURAL")
+        return None if lu is None else _PermutedLU(lu, self.q, self.perm_c)
+
+    def _adopt_ordering(self, perm_c: np.ndarray) -> None:
+        """Remap the scatter onto the symmetric permutation ``perm_c``.
+
+        Stored column k becomes original column ``q[k]`` (``q =
+        argsort(perm_c)``) and original row r is relabelled
+        ``perm_c[r]``.  The relabelling matters: SuperLU prefers the
+        *diagonal* entry on pivot ties, and under COLAMD it means the
+        original diagonal, which a column-only permutation would move
+        off the stored diagonal.
+        """
+        perm_c = np.asarray(perm_c, dtype=np.intp)
+        q = np.argsort(perm_c)
+        counts = np.diff(self.indptr)[q]
+        indptr = np.zeros(self.size + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        # gather[j]: pre-remap position of stored nonzero j.
+        gather = (np.repeat(self.indptr[q].astype(np.intp) - indptr[:-1],
+                            counts)
+                  + np.arange(self.nnz))
+        new_pos = np.empty(self.nnz, dtype=np.intp)
+        new_pos[gather] = np.arange(self.nnz)
+        self._natural = (new_pos, self.indices, self.indptr)
+        self.slot = new_pos[self.slot]
+        self.indices = perm_c[self.indices[gather]].astype(np.int32)
+        self.indptr = indptr
+        self.perm_c = perm_c
+        self.q = q
+        self._flat_slot = None
 
     def batch_data(self, values_b: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
         """Stacked ``(B, nnz)`` CSC data rows from ``(B, n_triplets)``
         stacked triplet values.
 
-        Each row replays the exact per-lane :meth:`matrix` scatter
+        Each row replays the exact per-lane :meth:`data` scatter
         (bincount over the shared slot map, summing duplicates in
         segment order), so a lane's data row is bit-identical to what a
         serial assembly of that lane would produce -- but all lanes
@@ -212,6 +291,11 @@ class SparseStamper:
         """The assembled CSC Jacobian at the current values."""
         return self.system.matrix(self.vals)
 
+    def factorize(self):
+        """Factorization handle of the Jacobian at the current values
+        (None when singular or non-finite)."""
+        return self.system.factorize(self.system.data(self.vals))
+
 
 def coo_to_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                size: int):
@@ -221,21 +305,46 @@ def coo_to_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     return coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
 
-def sparse_factorize(a_csc):
-    """SuperLU-factor a CSC matrix; None when singular or non-finite
-    (the caller then falls back to dense least squares, mirroring the
-    dense backend's degraded path).
+class _PermutedLU:
+    """SuperLU factors of the symmetrically permuted matrix
+    ``A[q][:, q]``; solves ``A x = b`` in the original unknown order."""
 
-    Every call is one *numeric* (re)factorization over an existing
-    symbolic structure, counted as ``sparse_numeric_refactorizations``
-    -- the twin of the build-time ``sparse_symbolic_factorizations``
-    counter on :class:`SparseSystem`.
-    """
+    __slots__ = ("lu", "q", "perm_c")
+
+    def __init__(self, lu, q: np.ndarray, perm_c: np.ndarray) -> None:
+        self.lu = lu
+        self.q = q
+        self.perm_c = perm_c
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self.lu.solve(rhs[self.q])[self.perm_c]
+
+
+def _checked_splu(a_csc, permc_spec: str):
+    """``splu`` with the degraded-path contract: None when ``a_csc`` is
+    non-finite (checked before SuperLU sees it) or exactly singular."""
     if not np.all(np.isfinite(a_csc.data)):
         return None
     if telemetry.is_enabled():
-        telemetry.current_span().inc("sparse_numeric_refactorizations")
+        span = telemetry.current_span()
+        span.inc("sparse_numeric_refactorizations")
+        if permc_spec != "NATURAL":
+            span.inc("sparse_symbolic_factorizations")
     try:
-        return _splu(a_csc, permc_spec="COLAMD")
+        return _splu(a_csc, permc_spec=permc_spec)
     except RuntimeError:  # exactly singular
         return None
+
+
+def sparse_factorize(a_csc):
+    """SuperLU-factor a CSC matrix with a fresh COLAMD ordering; None
+    when singular or non-finite (the caller then falls back to dense
+    least squares, mirroring the dense backend's degraded path).
+
+    Each call counts one ``sparse_numeric_refactorizations`` and, since
+    it computes the column ordering, one
+    ``sparse_symbolic_factorizations``.  Repeated factorizations over
+    one pattern go through :meth:`SparseSystem.factorize`, which runs
+    this once and reuses the ordering afterwards.
+    """
+    return _checked_splu(a_csc, "COLAMD")

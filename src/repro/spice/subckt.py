@@ -122,6 +122,16 @@ class CellPlan:
         self.cap_pos = np.array(cap_pos, dtype=np.intp)
         self.cap_neg = np.array(cap_neg, dtype=np.intp)
         self.dio_offsets = np.array(dio_offsets, dtype=np.intp)
+        self._structure = None
+
+    @property
+    def structure(self):
+        """The template's :class:`~repro.spice.validate.CellStructure`
+        (built on first use, shared by every instance)."""
+        if self._structure is None:
+            from .validate import CellStructure
+            self._structure = CellStructure(self)
+        return self._structure
 
 
 class Subcircuit:

@@ -34,6 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.sparse import coo_matrix as _coo_matrix
+from scipy.sparse.csgraph import connected_components as _connected_components
+
 from ..errors import NetlistError
 from .elements import (Capacitor, CurrentSource, DiodeElement, Element,
                        MosElement, Resistor, Vccs, Vcvs, VoltageSource)
@@ -122,22 +126,37 @@ def _current_terminals(element: Element) -> list[str]:
     return list(element.nodes)
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: dict[str, str] = {}
+class CellStructure:
+    """Structural summary of one subcircuit template, computed once.
 
-    def find(self, key: str) -> str:
-        root = key
-        while self._parent.setdefault(root, root) != root:
-            root = self._parent[root]
-        while self._parent[key] != root:  # path compression
-            self._parent[key], key = root, self._parent[key]
-        return root
+    Template-local net ids follow :attr:`Instance.nodes
+    <repro.spice.subckt.Instance>` order -- ports, then internal nets --
+    with ground as the last id, so an instance maps the whole summary
+    onto parent nets with one index array.
+    """
 
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
+    def __init__(self, plan) -> None:
+        from .netlist import is_ground
+        subcircuit = plan.subcircuit
+        local = {net: i for i, net in enumerate(
+            (*subcircuit.ports, *plan.internal_nodes))}
+        self.ground = len(local)
+
+        def lid(net: str) -> int:
+            return self.ground if is_ground(net) else local[net]
+
+        self.elements = list(subcircuit.template.elements)
+        #: Local ids of every element's terminals, per element.
+        self.element_nets = [[lid(n) for n in e.nodes]
+                             for e in self.elements]
+        touched = sorted({i for nets in self.element_nets for i in nets})
+        current = sorted({lid(n) for e in self.elements
+                          for n in _current_terminals(e)})
+        edges = [(lid(a), lid(b)) for e in self.elements
+                 for a, b in _conductive_pairs(e)]
+        self.touched = np.array(touched, dtype=np.intp)
+        self.current = np.array(current, dtype=np.intp)
+        self.edges = np.array(edges, dtype=np.intp).reshape(-1, 2)
 
 
 def structural_report(circuit) -> list[StructuralIssue]:
@@ -146,50 +165,56 @@ def structural_report(circuit) -> list[StructuralIssue]:
     The empty list means the netlist passes every check.  ``circuit``
     is a :class:`~repro.spice.netlist.Circuit` (typed loosely to avoid
     an import cycle).
+
+    Nets are integer ids (0 is ground).  Top-level elements contribute
+    one by one; hierarchy is validated flat, but each instance maps its
+    template's :class:`CellStructure` through its port/internal net ids
+    in one step, so a defect inside a cell (or a port left to dangle in
+    the parent) is reported against the parent's net names.
     """
     from .netlist import is_ground
-
-    touches: dict[str, list[str]] = {n: [] for n in circuit.node_names}
-    current: dict[str, set[str]] = {n: set() for n in circuit.node_names}
-    uf = _UnionFind()
-    ground = "0"
-    uf.find(ground)
-
-    def canon(node: str) -> str:
-        return ground if is_ground(node) else node
-
     from .subckt import Instance
 
-    def visit(element, name: str, mapped) -> None:
-        for node in map(mapped, element.nodes):
-            node = canon(node)
-            if node != ground:
-                touches.setdefault(node, []).append(name)
-        for node in map(mapped, _current_terminals(element)):
-            node = canon(node)
-            if node != ground:
-                current.setdefault(node, set()).add(name)
-        for a, b in _conductive_pairs(element):
-            uf.union(canon(mapped(a)), canon(mapped(b)))
+    names = ["0", *circuit.node_names]
+    index = {net: i for i, net in enumerate(names)}
 
-    def identity(node: str) -> str:
-        return node
+    def gid(net: str) -> int:
+        if is_ground(net):
+            return 0
+        if net not in index:
+            index[net] = len(names)
+            names.append(net)
+        return index[net]
 
+    # Top-level elements one by one; each instance as three index
+    # arrays mapped through its parent net ids (ground last).
+    touched: list = [[]]
+    current: list = [[]]
+    edges: list = [[]]
+    instances: list[tuple[Instance, np.ndarray]] = []
     for element in circuit.elements:
         if isinstance(element, Instance):
-            # Hierarchy is validated flat: template elements are walked
-            # at the *name* level with ports remapped, so a defect
-            # inside a cell (or a port left to dangle in the parent) is
-            # reported against the parent's net names.
-            for t_elem in element.subcircuit.template.elements:
-                visit(t_elem, f"{element.name}.{t_elem.name}",
-                      element.map_net)
+            cell = element.subcircuit.plan().structure
+            nets = np.array([*map(gid, element.nodes), 0], dtype=np.intp)
+            instances.append((element, nets))
+            touched.append(nets[cell.touched])
+            current.append(nets[cell.current])
+            edges.append(nets[cell.edges])
         else:
-            visit(element, element.name, identity)
+            touched[0].extend(map(gid, element.nodes))
+            current[0].extend(map(gid, _current_terminals(element)))
+            edges[0].extend((gid(a), gid(b))
+                            for a, b in _conductive_pairs(element))
+    edges[0] = np.array(edges[0], dtype=np.intp).reshape(-1, 2)
+
+    n = len(names)
+    is_touched = _mark(n, touched)
+    has_current = _mark(n, current)
+    is_touched[0] = has_current[0] = False
 
     issues: list[StructuralIssue] = []
 
-    floating = sorted(n for n, t in touches.items() if not t)
+    floating = sorted(names[i] for i in np.flatnonzero(~is_touched[1:]) + 1)
     if floating:
         issues.append(StructuralIssue(
             kind=FLOATING_NET, nets=tuple(floating),
@@ -197,12 +222,14 @@ def structural_report(circuit) -> list[StructuralIssue]:
                    f"connected to any element (a nodeset on an unwired "
                    f"net?)"))
 
-    sense_only = sorted(n for n, t in touches.items()
-                        if t and not current.get(n))
+    sense_mask = is_touched & ~has_current
+    sense_only = sorted(names[i] for i in np.flatnonzero(sense_mask))
     if sense_only:
-        by_net = [f"{net!r} (touched by "
-                  f"{', '.join(sorted(set(touches[net]))[:4])})"
-                  for net in sense_only]
+        by_net = []
+        for net in sense_only:
+            names_on = _touching(circuit, instances, index[net], gid)
+            by_net.append(f"{net!r} (touched by "
+                          f"{', '.join(names_on[:4])})")
         issues.append(StructuralIssue(
             kind=SENSE_ONLY_NET, nets=tuple(sense_only),
             detail=f"net(s) {'; '.join(by_net)} are only sensed -- MOS "
@@ -210,11 +237,13 @@ def structural_report(circuit) -> list[StructuralIssue]:
                    f"voltage but cannot source or sink DC current, so "
                    f"the MNA row is structurally singular"))
 
-    flagged = set(floating) | set(sense_only)
-    ground_root = uf.find(ground)
+    pairs = np.concatenate(edges)
+    graph = _coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                        shape=(n, n))
+    _, labels = _connected_components(graph, directed=False)
     disconnected = sorted(
-        n for n, t in touches.items()
-        if t and n not in flagged and uf.find(n) != ground_root)
+        names[i] for i in np.flatnonzero(
+            is_touched & ~sense_mask & (labels != labels[0])))
     if disconnected:
         issues.append(StructuralIssue(
             kind=RAIL_DISCONNECTED, nets=tuple(disconnected),
@@ -223,6 +252,32 @@ def structural_report(circuit) -> list[StructuralIssue]:
                    f"channel) to the ground reference; the island's "
                    f"absolute potential is undetermined"))
     return issues
+
+
+def _mark(n: int, parts: list) -> np.ndarray:
+    """Boolean mask over ``n`` net ids set at every id in ``parts``."""
+    mask = np.zeros(n, dtype=bool)
+    for ids in parts:
+        mask[np.asarray(ids, dtype=np.intp)] = True
+    return mask
+
+
+def _touching(circuit, instances, net: int, gid) -> list[str]:
+    """Sorted names of the elements with a terminal on net id ``net``
+    (instance elements as ``"<instance>.<element>"``) -- the failure
+    path's diagnostic walk."""
+    from .subckt import Instance
+    found = {e.name for e in circuit.elements
+             if not isinstance(e, Instance)
+             and any(gid(n) == net for n in e.nodes)}
+    for instance, nets in instances:
+        cell = instance.subcircuit.plan().structure
+        local = set(np.flatnonzero(nets == net).tolist())
+        if local:
+            found.update(f"{instance.name}.{e.name}"
+                         for e, ids in zip(cell.elements, cell.element_nets)
+                         if local.intersection(ids))
+    return sorted(found)
 
 
 def validate_structure(circuit) -> None:

@@ -14,6 +14,7 @@ bit-level tests use a single ``add_diagonal`` call.)
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.devices.diode import Diode, DiodeParameters
 from repro.errors import NetlistError
 from repro.spice import Circuit, NewtonOptions, operating_point
@@ -188,3 +189,179 @@ class TestSparseSystem:
         system = SparseSystem(3, {})
         assert system.nnz == 0
         assert system.matrix(np.zeros(0)).shape == (3, 3)
+
+
+def _random_system(size: int = 14, seed: int = 3):
+    """A diagonally-anchored random pattern whose COLAMD ordering is
+    not the identity, plus one values vector over it."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((size, size)) < 0.25
+    np.fill_diagonal(mask, True)
+    rows, cols = np.nonzero(mask)
+    system = SparseSystem(size, {"full": (rows, cols)})
+    values = rng.normal(size=rows.size)
+    values[rows == cols] += 4.0
+    return system, rows, cols, values
+
+
+def _dense(rows, cols, values, size):
+    a = np.zeros((size, size))
+    np.add.at(a, (rows, cols), values)
+    return a
+
+
+class TestCachedOrdering:
+    """One COLAMD ordering per system: the first factorization fixes
+    it, every later one replays it with ``permc_spec="NATURAL"`` on
+    the permuted data -- bit for bit what COLAMD would have done."""
+
+    def test_adder_jacobian_solves_are_bitwise_colamd(self, default_design,
+                                                      monkeypatch):
+        from scipy.sparse.linalg import splu
+
+        from repro.stscl.adder import adder_chain_circuit
+
+        captured = []
+        factorize = SparseStamper.factorize
+
+        def recording(st):
+            handle = factorize(st)
+            captured.append((st.matrix(), handle))
+            return handle
+
+        monkeypatch.setattr(SparseStamper, "factorize", recording)
+        circuit, _ = adder_chain_circuit(default_design, 0.4, width=32,
+                                         a=0x0F0F_1234, b=0x7777_0001,
+                                         carry_in=True)
+        assert operating_point(circuit).converged
+        system = circuit.compile().assembler.sparse_system()
+        assert system.perm_c is not None
+        assert not np.array_equal(system.perm_c, np.arange(system.size))
+        assert len(captured) > 100
+        rng = np.random.default_rng(0)
+        for a_csc, handle in captured:
+            reference = splu(a_csc, permc_spec="COLAMD")
+            assert np.array_equal(reference.perm_c, system.perm_c)
+            b = rng.normal(size=system.size)
+            assert np.array_equal(handle.solve(b), reference.solve(b))
+
+    def test_matrix_keeps_the_original_order_after_adoption(self):
+        system, rows, cols, values = _random_system()
+        assert system.factorize(system.data(values)) is not None
+        assert system.perm_c is not None
+        assert not np.array_equal(system.perm_c, np.arange(system.size))
+        dense = _dense(rows, cols, values, system.size)
+        assert np.array_equal(system.matrix(values).toarray(), dense)
+        assert np.array_equal(system.toarray(system.data(values)), dense)
+        b = np.arange(system.size, dtype=float)
+        handle = system.factorize(system.data(values))
+        np.testing.assert_allclose(handle.solve(b),
+                                   np.linalg.solve(dense, b), rtol=1e-10)
+
+    def test_one_symbolic_count_per_system(self):
+        system, _rows, _cols, values = _random_system()
+        with telemetry.tracing("ordering") as trace:
+            for scale in (1.0, 2.0, 3.0):
+                system.factorize(system.data(scale * values))
+        counters = trace.total_counters()
+        assert counters["sparse_symbolic_factorizations"] == 1
+        assert counters["sparse_numeric_refactorizations"] == 3
+
+    @pytest.mark.filterwarnings(
+        "ignore:invalid value encountered:RuntimeWarning")
+    def test_singular_and_nan_still_return_none(self):
+        """After the ordering is fixed, an exactly singular matrix and
+        a NaN matrix still yield None (the caller's least-squares
+        fallback), and the NaN one never reaches SuperLU."""
+        system, rows, cols, values = _random_system()
+        system.factorize(system.data(values))
+        singular = values.copy()
+        singular[rows == 0] = 0.0  # row 0 empty
+        assert system.factorize(system.data(singular)) is None
+        poisoned = values.copy()
+        poisoned[0] = np.nan
+        with telemetry.tracing("nan") as trace:
+            assert system.factorize(system.data(poisoned)) is None
+        assert trace.total_counters().get(
+            "sparse_numeric_refactorizations", 0) == 0
+
+    def test_stacked_lstsq_fallback_sees_the_original_matrix(self):
+        """A singular lane after the ordering is fixed degrades to the
+        least-squares step of the *original* matrix, bit for bit."""
+        from repro.spice.batch import _solve_stacked_sparse
+
+        system, rows, cols, values = _random_system()
+        vals = np.stack([values, values.copy(), 1.5 * values])
+        vals[1, rows == 2] = 0.0  # lane 1: row 2 empty
+        system.factorize(system.data(values))
+        res = np.random.default_rng(1).normal(size=(3, system.size))
+        dX, fresh = _solve_stacked_sparse(
+            system, vals, res, np.arange(3), system.size,
+            NewtonOptions(), None, None)
+        singular = _dense(rows, cols, vals[1], system.size)
+        expected, *_ = np.linalg.lstsq(singular, -res[1], rcond=None)
+        assert np.array_equal(dX[1], expected)
+        for k in (0, 2):
+            np.testing.assert_allclose(
+                dX[k], np.linalg.solve(
+                    _dense(rows, cols, vals[k], system.size), -res[k]),
+                rtol=1e-10)
+        assert fresh.all()
+
+    def test_stacked_rows_are_re_emitted_after_adoption(self):
+        """The first stacked factorization fixes the ordering mid-loop;
+        the remaining lanes must still solve their own matrices."""
+        from repro.spice.batch import _solve_stacked_sparse
+
+        system, rows, cols, values = _random_system()
+        vals = np.stack([values, 2.0 * values, values + 0.5])
+        res = np.random.default_rng(2).normal(size=(3, system.size))
+        dX, _ = _solve_stacked_sparse(
+            system, vals, res, np.arange(3), system.size,
+            NewtonOptions(), None, None)
+        assert system.perm_c is not None
+        for k in range(3):
+            np.testing.assert_allclose(
+                dX[k], np.linalg.solve(
+                    _dense(rows, cols, vals[k], system.size), -res[k]),
+                rtol=1e-10)
+
+    def test_structural_change_builds_a_new_ordering(self):
+        circuit = mixed_circuit("sparse")
+        with telemetry.tracing("restructure") as trace:
+            operating_point(circuit)
+            first = circuit.compile().assembler.sparse_system()
+            assert first.perm_c is not None
+            circuit.add_resistor("R9", "b", "c", 2e3)
+            second = circuit.compile().assembler.sparse_system()
+            assert second is not first
+            assert second.perm_c is None
+            operating_point(circuit)
+        assert second.perm_c is not None
+        assert second.size == first.size
+        assert second.nnz > first.nnz
+        assert trace.total_counters()[
+            "sparse_symbolic_factorizations"] == 2
+
+    def test_reuse_state_with_a_permuted_handle_comes_back_empty(self):
+        import os
+        import pickle
+
+        from repro.spice.strategies import LuReuseState
+
+        system, _rows, _cols, values = _random_system()
+        system.factorize(system.data(values))
+        state = LuReuseState()
+        state.ensure_key("k")
+        state.lu = system.factorize(system.data(values))
+        assert state.lu is not None
+        assert type(state.lu).__name__ == "_PermutedLU"
+        restored = pickle.loads(pickle.dumps(state))
+        assert restored.lu is None and restored.key is None
+        if hasattr(os, "fork"):
+            pid = os.fork()
+            if pid == 0:  # child
+                os._exit(0 if state.lu is None else 1)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+        assert state.lu is not None
