@@ -184,21 +184,29 @@ class CircuitAssembler:
         self._build_charges()
         return True
 
+    @property
+    def _g_const(self) -> np.ndarray:
+        """The dense constant linear matrix, accumulated from the
+        triplets on first dense use after a value sync."""
+        if self._g_dense is None:
+            g = np.zeros((self.size, self.size))
+            np.add.at(g, (self._lin_rows, self._lin_cols), self._lin_vals)
+            self._g_dense = g
+        return self._g_dense
+
     # -- build passes ---------------------------------------------------
 
     def _build_linear(self) -> None:
-        size = self.size
-        g = np.zeros((size, size))
-        # Triplet twin of the dense accumulation: the sparse backend
-        # replays exactly this contribution sequence through bincount,
-        # which is what makes its assembled entries bit-identical.
+        # The linear part as one ordered triplet list: the sparse
+        # backend replays this contribution sequence through bincount
+        # and the dense base (:attr:`_g_const`) accumulates it with one
+        # ``np.add.at``, which is what makes the two bit-identical.
         lin_rows: list[int] = []
         lin_cols: list[int] = []
         lin_vals: list[float] = []
 
         def add(row: int, col: int, value: float) -> None:
             if row >= 0 and col >= 0:
-                g[row, col] += value
                 lin_rows.append(row)
                 lin_cols.append(col)
                 lin_vals.append(value)
@@ -232,7 +240,6 @@ class CircuitAssembler:
             add(p, cn, -e.gm)
             add(n, cp, -e.gm)
             add(n, cn, e.gm)
-        self._g_const = g
         rows_parts = [np.asarray(lin_rows, dtype=np.intp)]
         cols_parts = [np.asarray(lin_cols, dtype=np.intp)]
         vals_parts = [np.asarray(lin_vals, dtype=float)]
@@ -252,7 +259,6 @@ class CircuitAssembler:
             vals_g = np.broadcast_to(t_asm._lin_vals, rows_g.shape)
             mask = (rows_g >= 0) & (cols_g >= 0)
             r, c, v = rows_g[mask], cols_g[mask], vals_g[mask]
-            np.add.at(g, (r, c), v)
             rows_parts.append(r)
             cols_parts.append(c)
             vals_parts.append(v)
@@ -260,6 +266,7 @@ class CircuitAssembler:
         self._lin_cols = np.concatenate(cols_parts)
         self._lin_vals = np.concatenate(vals_parts)
         self._lin_csr = None  # rebuilt lazily after value syncs
+        self._g_dense = None  # likewise; the sparse path never reads it
         # Source bookkeeping for the per-iteration RHS.  The expanded
         # source list is the top-level sources followed by every
         # instance's template sources (vsources, then isources); value

@@ -49,6 +49,7 @@ from .elements import (
     Stamper,
     VoltageSource,
 )
+from .netlist import is_ground
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .netlist import Circuit
@@ -139,7 +140,6 @@ class Subcircuit:
 
     def __init__(self, name: str, template: "Circuit",
                  ports: Sequence[str]) -> None:
-        from .netlist import is_ground
         self.name = name
         self.template = template
         self.ports = tuple(ports)
@@ -198,7 +198,6 @@ class Instance(Element):
 
     def map_net(self, net: str) -> str:
         """Parent-circuit name of template net ``net``."""
-        from .netlist import is_ground
         if is_ground(net):
             return "0"
         mapped = self.port_map.get(net)

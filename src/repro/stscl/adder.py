@@ -131,12 +131,17 @@ class FullAdderCell:
 
     ``sum_out`` / ``carry_out`` name the template's differential output
     ports; with latches these are the latch outputs (``sl_``/``kl_``
-    stages), without they are the raw tree outputs.
+    stages), without they are the raw tree outputs.  ``sum_tree`` /
+    ``carry_tree`` are the XOR3 and MAJ3 steering trees (template nets),
+    whose routes let a placement seed each internal node from its
+    known input bits.
     """
 
     subcircuit: object  # repro.spice.subckt.Subcircuit
     sum_out: tuple[str, str]
     carry_out: tuple[str, str]
+    sum_tree: object  # repro.stscl.netlist_gen.SteeringTree
+    carry_tree: object
 
     @property
     def ports(self) -> tuple[str, ...]:
@@ -156,33 +161,36 @@ def full_adder_cell(design: StsclGateDesign, vdd: float,
     are ports so a chain of instances shares one bias network.
 
     Template nodesets encode the all-zero-operand polarity (every
-    output at logic 0); :func:`adder_chain_circuit` overrides them per
-    bit from the expected sum/carry pattern.
+    output at logic 0) and the transparent clock phase (the latches'
+    hold pairs cut off from their tails); :func:`adder_chain_circuit`
+    overrides them per bit from the expected sum/carry pattern.
     """
     from ..spice.netlist import Circuit
     from ..spice.subckt import Subcircuit
-    from .netlist_gen import add_stscl_latch, add_stscl_tree
+    from .netlist_gen import TAIL_SEED, add_stscl_latch, add_stscl_tree
 
+    high, low = vdd, vdd - design.v_sw
     tpl = Circuit("stscl_fa_slice", temperature=design.temperature)
     inputs = [("ap", "an"), ("bp", "bn"), ("cp", "cn")]
-    xs = add_stscl_tree(tpl, "xs_", design, _parity3, inputs,
-                        with_dwell=with_dwell)
-    mc = add_stscl_tree(tpl, "mc_", design, _majority3, inputs,
-                        with_dwell=with_dwell)
-    tpl.nodeset("xs_tail", 0.1)
-    tpl.nodeset("mc_tail", 0.1)
+    sum_tree = add_stscl_tree(tpl, "xs_", design, _parity3, inputs,
+                              with_dwell=with_dwell)
+    carry_tree = add_stscl_tree(tpl, "mc_", design, _majority3, inputs,
+                                with_dwell=with_dwell)
+    xs, mc = sum_tree.outputs, carry_tree.outputs
+    tpl.nodeset("xs_tail", TAIL_SEED)
+    tpl.nodeset("mc_tail", TAIL_SEED)
     if with_latches:
         sum_out = add_stscl_latch(tpl, "sl_", design, xs[0], xs[1],
                                   "ckp", "ckn", with_dwell=with_dwell)
         carry_out = add_stscl_latch(tpl, "kl_", design, mc[0], mc[1],
                                     "ckp", "ckn", with_dwell=with_dwell)
         for prefix in ("sl_", "kl_"):
-            for node in ("tail", "ns", "nh"):
-                tpl.nodeset(f"{prefix}{node}", 0.1)
+            tpl.nodeset(f"{prefix}tail", TAIL_SEED)
+            tpl.nodeset(f"{prefix}ns", TAIL_SEED)
+            tpl.nodeset(f"{prefix}nh", low)
     else:
         sum_out, carry_out = xs, mc
 
-    high, low = vdd, vdd - design.v_sw
     for out_p, out_n in (xs, mc, sum_out, carry_out):
         # Logic-0 polarity: the false-minterm leaves pull outp low.
         tpl.nodeset(out_p, low)
@@ -194,7 +202,8 @@ def full_adder_cell(design: StsclGateDesign, vdd: float,
              *sum_out, *carry_out)
     return FullAdderCell(
         subcircuit=Subcircuit("stscl_fa", tpl, ports),
-        sum_out=sum_out, carry_out=carry_out)
+        sum_out=sum_out, carry_out=carry_out,
+        sum_tree=sum_tree, carry_tree=carry_tree)
 
 
 def _drive_pair(circuit, name: str, p: str, n: str, value: bool,
@@ -227,14 +236,17 @@ def adder_chain_circuit(design: StsclGateDesign, vdd: float,
     Operands ``a``/``b`` and ``carry_in`` are encoded as DC
     differential drives; the clock is held high so the latches are
     transparent and the DC solution *is* the sum.  Nodesets follow the
-    expected bit pattern computed in Python, so Newton starts on the
-    correct side of every bistable latch.
+    logic computed in Python, so Newton starts in the right basin: every
+    driven net at its source value, every gate output and bistable latch
+    on its expected side, and every steering-tree node at the tail seed
+    when its bit's inputs route the tail through it, at V_DD - V_SW when
+    they cut it off.
 
     Returns ``(circuit, ports)`` where ``ports`` maps ``"s{i}"`` /
     ``"cout"`` to differential net pairs.
     """
     from ..spice.netlist import Circuit
-    from .netlist_gen import _load_bias
+    from .netlist_gen import TAIL_SEED, _load_bias, _seed_driven_nets
 
     mask = (1 << width) - 1
     if width < 1:
@@ -276,19 +288,27 @@ def adder_chain_circuit(design: StsclGateDesign, vdd: float,
         }
         if with_latches:
             port_map.update(ckp="ckp", ckn="ckn")
-        circuit.add_instance(f"fa{i}", cell.subcircuit, port_map)
-        s_i = a_i ^ b_i ^ carry
-        carry = _majority3((a_i, b_i, carry))
+        instance = circuit.add_instance(f"fa{i}", cell.subcircuit,
+                                        port_map)
+        bits = (a_i, b_i, carry)
+        for tree in (cell.sum_tree, cell.carry_tree):
+            for net, voltage in tree.seeds(bits, TAIL_SEED, low).items():
+                circuit.nodeset(instance.map_net(net), voltage)
+        s_i = _parity3(bits)
+        carry = _majority3(bits)
         # Repoint the replayed template nodesets at the expected bit
         # values so Newton starts on the right side of each latch.
         _expect_pair(circuit, *s_nets, s_i, high, low)
         _expect_pair(circuit, *k_nets, carry, high, low)
         if with_latches:
-            _expect_pair(circuit, f"fa{i}.xs_outp", f"fa{i}.xs_outn",
+            _expect_pair(circuit, *map(instance.map_net,
+                                       cell.sum_tree.outputs),
                          s_i, high, low)
-            _expect_pair(circuit, f"fa{i}.mc_outp", f"fa{i}.mc_outn",
+            _expect_pair(circuit, *map(instance.map_net,
+                                       cell.carry_tree.outputs),
                          carry, high, low)
         outputs[f"s{i}"] = s_nets
         carry_net = k_nets
     outputs["cout"] = carry_net
+    _seed_driven_nets(circuit)
     return circuit, outputs

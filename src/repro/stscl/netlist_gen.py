@@ -23,10 +23,15 @@ from typing import Callable, Sequence
 from ..devices.diode import Diode, NWELL_DIODE_180
 from ..devices.mosfet import Mosfet
 from ..errors import DesignError
-from ..spice.netlist import Circuit
+from ..spice.elements import VoltageSource
+from ..spice.netlist import Circuit, is_ground
 from ..spice.waveforms import Waveform, dc_wave, pulse_wave
 from .gate_model import StsclGateDesign
 from .load import HighValueLoad
+
+
+#: Initial guess for a node that carries a tail current [V].
+TAIL_SEED = 0.1
 
 
 @dataclass
@@ -37,6 +42,38 @@ class GatePorts:
     v_bp: str = "vbp"
     inputs: dict[str, tuple[str, str]] = field(default_factory=dict)
     outputs: dict[str, tuple[str, str]] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class SteeringTree:
+    """The nets of one series-gated steering tree (:func:`add_stscl_tree`).
+
+    ``routes`` maps each internal node of the tree to the input-bit
+    prefix (bottom level first) that steers the tail current through
+    it; every other input pattern cuts the node off from the tail.
+    """
+
+    outputs: tuple[str, str]
+    routes: dict[str, tuple[bool, ...]]
+
+    def seeds(self, bits: Sequence[bool], on_path: float,
+              off_path: float) -> dict[str, float]:
+        """Internal node -> initial guess under input ``bits``: nodes
+        carrying the tail sit at ``on_path``, the cut-off rest at
+        ``off_path``."""
+        bits = tuple(bits)
+        return {node: on_path if bits[:len(route)] == route else off_path
+                for node, route in self.routes.items()}
+
+
+def _seed_driven_nets(circuit: Circuit) -> None:
+    """Nodeset every net a voltage source drives from ground at the
+    source's DC value, so Newton starts with those rails satisfied."""
+    for element in circuit.elements:
+        if isinstance(element, VoltageSource):
+            pos, neg = element.nodes
+            if is_ground(neg) and not is_ground(pos):
+                circuit.nodeset(pos, element.value_at(None))
 
 
 def _load_bias(design: StsclGateDesign, vdd: float) -> float:
@@ -140,8 +177,9 @@ def stscl_buffer_chain_circuit(
                             design.i_ss)
         circuit.nodeset(out_p, vdd)
         circuit.nodeset(out_n, vdd - design.v_sw)
-        circuit.nodeset(f"{prefix}tail", 0.1)
+        circuit.nodeset(f"{prefix}tail", TAIL_SEED)
         outputs[f"y{k}"] = (out_p, out_n)
+    _seed_driven_nets(circuit)
 
     ports = GatePorts(inputs={"a": ("s0_outp", "s0_outn")},
                       outputs=outputs)
@@ -177,12 +215,13 @@ def add_stscl_tree(circuit: Circuit, prefix: str,
                    design: StsclGateDesign,
                    function: Callable[[tuple[bool, ...]], bool],
                    input_pairs: Sequence[tuple[str, str]],
-                   with_dwell: bool = False) -> tuple[str, str]:
+                   with_dwell: bool = False) -> SteeringTree:
     """Add one series-gated STSCL steering tree to ``circuit``.
 
     ``input_pairs`` names the (positive, negative) gate nets of each
     input, bottom level first.  All the tree's own nets and elements
-    are namespaced under ``prefix``; returns the output node pair.
+    are namespaced under ``prefix``; returns the tree's output pair and
+    the input prefix that routes the tail through each internal node.
     This is the composable core behind :func:`stscl_tree_circuit` and
     the full-adder bit-slice cell of :mod:`repro.stscl.adder`.
     """
@@ -195,6 +234,7 @@ def add_stscl_tree(circuit: Circuit, prefix: str,
                         design.i_ss)
     pair = design.pair_device()
     counter = itertools.count()
+    routes: dict[str, tuple[bool, ...]] = {}
 
     def build(level: int, source_node: str,
               assignment: tuple[bool, ...]) -> None:
@@ -209,6 +249,7 @@ def add_stscl_tree(circuit: Circuit, prefix: str,
             else:
                 drain = f"{prefix}b{next(counter)}"
                 circuit.nodeset(drain, 0.15 * (level + 1))
+                routes[drain] = new_assignment
             circuit.add_mosfet(
                 f"{prefix}m{level}_{next(counter)}", drain=drain,
                 gate=gate_node, source=source_node, bulk="0", device=pair)
@@ -216,7 +257,7 @@ def add_stscl_tree(circuit: Circuit, prefix: str,
                 build(level + 1, drain, new_assignment)
 
     build(0, f"{prefix}tail", ())
-    return out_p, out_n
+    return SteeringTree(outputs=(out_p, out_n), routes=routes)
 
 
 def add_stscl_latch(circuit: Circuit, prefix: str,
@@ -280,7 +321,7 @@ def stscl_tree_circuit(
     out_p, out_n = add_stscl_tree(
         circuit, "", design, function,
         [(f"in{k}p", f"in{k}n") for k in range(n_inputs)],
-        with_dwell=with_dwell)
+        with_dwell=with_dwell).outputs
     circuit.nodeset(out_p, vdd)
     circuit.nodeset(out_n, vdd - design.v_sw)
     ports = GatePorts(

@@ -17,7 +17,8 @@ import pytest
 from repro import telemetry
 from repro.devices.diode import Diode, DiodeParameters
 from repro.errors import NetlistError
-from repro.spice import Circuit, NewtonOptions, operating_point
+from repro.spice import (Circuit, NewtonOptions, PseudoTransientStrategy,
+                         SourceSteppingStrategy, operating_point)
 from repro.spice.elements import Element, Stamper
 from repro.spice.sparse import (SPARSE_AUTO_THRESHOLD, SparseStamper,
                                 SparseSystem, sparse_available)
@@ -233,7 +234,11 @@ class TestCachedOrdering:
         circuit, _ = adder_chain_circuit(default_design, 0.4, width=32,
                                          a=0x0F0F_1234, b=0x7777_0001,
                                          carry_in=True)
-        assert operating_point(circuit).converged
+        # The logic-seeded adder converges on plain Newton in about a
+        # dozen Jacobians; the continuation rungs walk it through many
+        # more, each checked against a fresh COLAMD below.
+        ladder = (SourceSteppingStrategy(), PseudoTransientStrategy())
+        assert operating_point(circuit, strategies=ladder).converged
         system = circuit.compile().assembler.sparse_system()
         assert system.perm_c is not None
         assert not np.array_equal(system.perm_c, np.arange(system.size))
@@ -365,3 +370,52 @@ class TestCachedOrdering:
             _, status = os.waitpid(pid, 0)
             assert os.waitstatus_to_exitcode(status) == 0
         assert state.lu is not None
+
+
+class TestLazyDenseBase:
+    """The dense constant linear matrix is accumulated from the linear
+    triplets on first dense use, never on a sparse compile."""
+
+    def test_sparse_adder_never_builds_the_dense_base(self,
+                                                      default_design):
+        from repro.stscl.adder import adder_chain_circuit
+
+        circuit, _ = adder_chain_circuit(default_design, 0.4, width=32)
+        compiled = circuit.compile()
+        assert compiled.solver_backend() == "sparse"
+        assert operating_point(circuit).converged
+        size = compiled.size
+        square = [name for name, value in vars(compiled.assembler).items()
+                  if isinstance(value, np.ndarray)
+                  and value.shape == (size, size)]
+        assert square == []
+
+    @staticmethod
+    def _ordered_sum(assembler):
+        g = np.zeros((assembler.size, assembler.size))
+        for r, c, v in zip(assembler._lin_rows, assembler._lin_cols,
+                           assembler._lin_vals):
+            g[r, c] += v
+        return g
+
+    def test_dense_base_is_the_ordered_triplet_sum(self, default_design):
+        """Bitwise equal to accumulating the triplets one by one, with
+        instance triplets expanded after the top-level ones."""
+        from repro.stscl.adder import adder_chain_circuit
+
+        adder, _ = adder_chain_circuit(default_design, 0.4, width=2)
+        adder.matrix_backend = "dense"
+        for circuit in (mixed_circuit("dense"), adder):
+            assembler = circuit.compile().assembler
+            assert np.array_equal(assembler._g_const,
+                                  self._ordered_sum(assembler))
+
+    def test_dense_base_is_rebuilt_after_a_value_sync(self):
+        circuit = mixed_circuit("dense")
+        assembler = circuit.compile().assembler
+        before = assembler._g_const
+        circuit.element("R1").resistance = 470.0
+        assert assembler.sync()
+        assert not np.array_equal(assembler._g_const, before)
+        assert np.array_equal(assembler._g_const,
+                              self._ordered_sum(assembler))
