@@ -16,8 +16,7 @@ import numpy as np
 
 from .. import telemetry
 from ..errors import AnalysisError, ReproError
-from .parallel import (PlanToken, ensure_picklable, fetch_plan,
-                       publish_plan, run_ordered, validate_workers)
+from .parallel import ensure_picklable, run_ordered, validate_workers
 
 
 def _mc_eval(metric_fn: Callable[[int], dict[str, float]],
@@ -51,25 +50,6 @@ def _mc_worker(metric_fn: Callable[[int], dict[str, float]],
         return outcome + (trace.root.to_dict(),)
     with telemetry.span(f"seed-{seed}", seed=seed):
         return _mc_eval(metric_fn, seed)
-
-
-def _mc_worker_shm(token: PlanToken, seed: int,
-                   capture_trace: bool = False) -> tuple:
-    """Shared-memory twin of :func:`_mc_worker`.
-
-    The task carries only a :class:`~repro.analysis.parallel.PlanToken`
-    plus the seed; the metric function itself is resolved through the
-    worker-local plan cache.  The fetch happens *inside* the traced
-    region so ``shm_plan_hits`` / ``shm_plan_misses`` ride back to the
-    parent with the rest of the seed's counters.
-    """
-    if capture_trace:
-        telemetry.reset()
-        with telemetry.tracing(f"seed-{seed}", seed=seed) as trace:
-            outcome = _mc_eval(fetch_plan(token), seed)
-        return outcome + (trace.root.to_dict(),)
-    with telemetry.span(f"seed-{seed}", seed=seed):
-        return _mc_eval(fetch_plan(token), seed)
 
 
 @dataclass(frozen=True)
@@ -165,19 +145,10 @@ class MonteCarlo:
     fully determine each chip, so the population is identical to the
     serial run -- same summaries, same failed-seed records, in the same
     seed order -- just wall-clock faster.  ``metric_fn`` must then be
-    picklable (a module-level function, not a lambda).
-
-    ``shm`` controls how the metric function reaches the workers when
-    parallel: ``"auto"`` (default) publishes it once as a read-only
-    ``multiprocessing.shared_memory`` segment so each task ships only a
-    tiny token plus its seed -- falling back to classic per-task
-    pickling when shared memory is unavailable; ``"off"`` always
-    pickles per task; ``"on"`` requires shared memory and raises when
-    the platform cannot provide it.  Either way the outcome stream --
-    summaries, failed-seed records, ordering -- is bit-identical to the
-    serial loop.  Pair with :meth:`~repro.spice.batch.BatchedOpMetric.
-    plan` so the published plan carries a pre-compiled circuit and the
-    whole fleet compiles exactly once.
+    picklable (a module-level function, not a lambda); it ships with
+    every task chunk.  Pass a :meth:`~repro.spice.batch.BatchedOpMetric.
+    plan` so that payload carries a pre-compiled circuit and the whole
+    fleet compiles exactly once.
 
     ``backend="batched"`` solves the whole population as one stacked
     tensor instead of one Newton solve per seed; ``metric_fn`` must
@@ -206,16 +177,12 @@ class MonteCarlo:
                  n_workers: int | None = None,
                  backend: str = "serial",
                  analysis: str = "op",
-                 matrix_backend: str | None = None,
-                 shm: str = "auto") -> None:
+                 matrix_backend: str | None = None) -> None:
         if n_runs < 1:
             raise AnalysisError(f"n_runs must be >= 1: {n_runs}")
         if on_error not in ("raise", "skip"):
             raise AnalysisError(
                 f"on_error must be 'raise' or 'skip', got {on_error!r}")
-        if shm not in ("auto", "on", "off"):
-            raise AnalysisError(
-                f"shm must be 'auto', 'on' or 'off', got {shm!r}")
         if backend not in ("serial", "batched"):
             raise AnalysisError(
                 f"backend must be 'serial' or 'batched', got {backend!r}")
@@ -237,7 +204,6 @@ class MonteCarlo:
         self.backend = backend
         self.analysis = analysis
         self.matrix_backend = matrix_backend
-        self.shm = shm
 
     def _seeds(self) -> list[int]:
         return [self.seed_base + k for k in range(self.n_runs)]
@@ -248,39 +214,19 @@ class MonteCarlo:
         for seed in self._seeds():
             yield seed, _mc_worker(self.metric_fn, seed)
 
-    def _outcomes_parallel(self, tspan):
+    def _outcomes_parallel(self):
         """Same outcome stream, evaluated on a process pool.
 
         Futures are collected in seed-submission order, so the
         reduction sees the exact sequence of the serial loop -- and,
         when tracing, the per-worker spans merge in that same order.
-        Under ``shm="auto"`` / ``"on"`` the metric function travels as
-        one published shared-memory plan instead of riding every task
-        tuple; the worker function changes, the work does not.
         """
         ensure_picklable(self.metric_fn, "metric_fn")
         trace_on = telemetry.is_enabled()
-        plan = (publish_plan(self.metric_fn)
-                if self.shm in ("auto", "on") else None)
-        if plan is None:
-            if self.shm == "on":
-                raise AnalysisError(
-                    "shm='on' but shared memory is unavailable on this "
-                    "platform; use shm='auto' to fall back to per-task "
-                    "pickling")
-            results = run_ordered(_mc_worker,
-                                  [(self.metric_fn, seed, trace_on)
-                                   for seed in self._seeds()],
-                                  self.n_workers)
-            return zip(self._seeds(), results)
-        try:
-            tspan.event("shm-plan-published", bytes=plan.nbytes)
-            results = run_ordered(_mc_worker_shm,
-                                  [(plan.token, seed, trace_on)
-                                   for seed in self._seeds()],
-                                  self.n_workers)
-        finally:
-            plan.close()
+        results = run_ordered(_mc_worker,
+                              [(self.metric_fn, seed, trace_on)
+                               for seed in self._seeds()],
+                              self.n_workers)
         return zip(self._seeds(), results)
 
     def _outcomes_batched(self, tspan):
@@ -405,7 +351,7 @@ class MonteCarlo:
             else:
                 outcomes = self._outcomes_batched(tspan)
         elif self.n_workers > 1:
-            outcomes = self._outcomes_parallel(tspan)
+            outcomes = self._outcomes_parallel()
         else:
             outcomes = self._outcomes_serial()
         collected: dict[str, list[float]] = {}

@@ -18,42 +18,15 @@ pickle.  :func:`ensure_picklable` turns the obscure mid-pool pickling
 failure into an actionable error before any process is spawned (the
 usual culprit: a lambda or closure metric function -- use a
 module-level function with ``functools.partial`` instead).
-
-The **shared-memory plan cache** (:func:`publish_plan` /
-:func:`fetch_plan`) removes the dominant per-task payload: instead of
-re-pickling the full work plan -- compiled constant stamps, gather
-indices, device-bank parameter arrays -- into *every* task tuple, the
-parent publishes the pickled plan once as a read-only
-``multiprocessing.shared_memory`` segment and tasks carry only a tiny
-:class:`PlanToken` (name + byte count) plus per-seed deltas.  Each
-worker attaches by name on first use and caches the deserialized plan
-for the rest of its life (``shm_plan_misses`` counts first attaches,
-``shm_plan_hits`` the reuses).  The parent owns the segment: it unlinks
-it as soon as the pool drains, with a module ``atexit`` sweep as the
-crash safety net, so no ``/dev/shm`` segments outlive the campaign.
-When the platform offers no shared memory the publish step simply
-returns None and callers fall back to classic per-task pickling --
-same results, fatter payloads.
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
-import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
-from .. import telemetry
 from ..errors import AnalysisError
-
-try:  # pragma: no cover - stdlib, absent only on exotic builds
-    from multiprocessing import resource_tracker as _resource_tracker
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _resource_tracker = _shared_memory = None
 
 
 def ensure_picklable(obj: Any, role: str) -> None:
@@ -129,151 +102,3 @@ def run_ordered(worker: Callable[..., Any],
         return [result for future in futures
                 for result in future.result()]
 
-
-# -- shared-memory plan cache ---------------------------------------------
-
-#: Name prefix of every plan segment this library creates -- the CI
-#: leak check greps ``/dev/shm`` for it after parallel workloads.
-PLAN_PREFIX = "repro_plan_"
-
-_plan_counter = itertools.count()
-
-#: Plans published by this process and not yet closed; the atexit sweep
-#: unlinks whatever a crashed campaign left behind.
-_published_plans: set["SharedPlan"] = set()
-
-
-def _sweep_published_plans() -> None:  # pragma: no cover - atexit path
-    for plan in list(_published_plans):
-        plan.close()
-
-
-atexit.register(_sweep_published_plans)
-
-
-def shm_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` imported and the
-    platform can actually create a segment (checked lazily by
-    :func:`publish_plan`)."""
-    return _shared_memory is not None
-
-
-@dataclass(frozen=True)
-class PlanToken:
-    """The per-task handle of a published plan: segment name plus the
-    exact pickled byte count (segments round up to page size, so the
-    consumer must not deserialize the padding)."""
-
-    name: str
-    size: int
-
-
-class SharedPlan:
-    """One published read-only plan segment, owned by the parent.
-
-    ``close()`` is idempotent and both closes and unlinks -- call it in
-    a ``finally`` as soon as the worker pool has drained.  Workers never
-    unlink; they attach, copy, and detach inside :func:`fetch_plan`.
-    """
-
-    def __init__(self, shm, token: PlanToken) -> None:
-        self._shm = shm
-        self.token = token
-        self.nbytes = token.size
-        _published_plans.add(self)
-
-    def close(self) -> None:
-        if self._shm is None:
-            return
-        shm, self._shm = self._shm, None
-        _published_plans.discard(self)
-        try:
-            shm.close()
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-def publish_plan(payload: Any) -> SharedPlan | None:
-    """Pickle ``payload`` into a fresh shared-memory segment.
-
-    Returns None -- callers then fall back to per-task pickling -- when
-    shared memory is unavailable or the platform refuses the segment
-    (no ``/dev/shm``, exhausted quota); an *unpicklable* payload still
-    raises through :func:`ensure_picklable`'s error path semantics, as
-    the classic path would reject it anyway.
-    """
-    if _shared_memory is None:
-        return None
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    name = f"{PLAN_PREFIX}{os.getpid()}_{next(_plan_counter)}"
-    try:
-        shm = _shared_memory.SharedMemory(create=True, name=name,
-                                          size=max(len(data), 1))
-    except OSError:
-        return None
-    shm.buf[:len(data)] = data
-    return SharedPlan(shm, PlanToken(name=name, size=len(data)))
-
-
-#: Worker-side cache: plan name -> deserialized payload.  One miss per
-#: (worker, plan), hits for every later task of the same campaign.
-_attached_plans: dict[str, Any] = {}
-
-
-def _fork_child_reset() -> None:  # pragma: no cover - runs in children
-    """Forked children start with clean plan state: the attach cache is
-    theirs to populate (a child must never "hit" on an entry it did not
-    attach), and inherited :class:`SharedPlan` handles must never
-    unlink the parent's live segments."""
-    _attached_plans.clear()
-    _published_plans.clear()
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
-    os.register_at_fork(after_in_child=_fork_child_reset)
-
-
-def _attach_untracked(name: str):
-    """Attach to an existing segment without the resource tracker
-    adopting it: the parent owns the lifetime, and a tracker-registered
-    attach would (a) spuriously unlink on worker exit and (b) spam
-    KeyError warnings when sibling workers' register/unregister pairs
-    interleave in the shared tracker (its cache is a set, so same-name
-    registrations collapse).  Python 3.13 grew ``track=False``; older
-    versions get the registration call suppressed for the duration of
-    the attach -- ``shared_memory`` looks it up through the module
-    attribute, so the swap is effective and strictly scoped."""
-    try:
-        return _shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        saved = _resource_tracker.register
-        _resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return _shared_memory.SharedMemory(name=name)
-        finally:
-            _resource_tracker.register = saved
-
-
-def fetch_plan(token: PlanToken) -> Any:
-    """Resolve a :class:`PlanToken` inside a worker process.
-
-    First call per worker attaches the segment, copies the pickled
-    bytes out, detaches immediately and caches the deserialized plan;
-    every later call is a dictionary hit.  Counted as
-    ``shm_plan_misses`` / ``shm_plan_hits`` under an active trace so
-    campaigns can assert the one-attach-per-worker contract.
-    """
-    if token.name in _attached_plans:
-        if telemetry.is_enabled():
-            telemetry.current_span().inc("shm_plan_hits")
-        return _attached_plans[token.name]
-    if telemetry.is_enabled():
-        telemetry.current_span().inc("shm_plan_misses")
-    shm = _attach_untracked(token.name)
-    try:
-        payload = pickle.loads(bytes(shm.buf[:token.size]))
-    finally:
-        shm.close()
-    _attached_plans[token.name] = payload
-    return payload

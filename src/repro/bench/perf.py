@@ -45,8 +45,9 @@ from ..stscl.netlist_gen import (
 #: samples-seen/stored and window-memory meta; v7: the
 #: ``sparse_batched_montecarlo`` thousand-unknown ensemble case with
 #: its campaign counters and per-seed speedup, and the
-#: ``shm_montecarlo`` shared-memory parallel case with its payload
-#: ratio and fleet-wide compile accounting; v8: the lockstep
+#: ``shm_montecarlo`` shared-memory parallel case (since retired
+#: with the shared-memory route) with its payload ratio and
+#: fleet-wide compile accounting; v8: the lockstep
 #: ``batched_transient_montecarlo`` ensemble-waveform case with its
 #: per-seed speedup and grid accounting, and the
 #: ``fai_adc_yield_smoke`` yield-surface case whose batched INL/DNL is
@@ -449,46 +450,6 @@ def _bench_sparse_batched_montecarlo(quick: bool) -> Callable[[], dict]:
     return case
 
 
-def _bench_shm_montecarlo(n_seeds: int) -> Callable[[], dict]:
-    """Parallel Monte-Carlo over the shared-memory plan cache.
-
-    The :meth:`~repro.spice.batch.BatchedOpMetric.plan` call inside the
-    traced region is the *only* circuit compile of the whole fleet
-    (``compile_cache_misses == 1`` in the case's trace counters); the
-    published plan reaches the workers as one shared segment, so each
-    task ships a token instead of the compiled circuit -- the
-    ``payload_ratio`` meta records the per-task byte shrink, and the
-    summaries are checked bit-identical against the serial loop over
-    the same plan.
-    """
-    def case() -> dict:
-        import pickle
-
-        from ..analysis.parallel import PLAN_PREFIX, PlanToken
-        from ..spice.batch import BatchedOpMetric
-        spec = BatchedOpMetric(build=_batched_mc_build,
-                               draw=_batched_mc_draw,
-                               measure=_batched_mc_measure)
-        plan = spec.plan()
-        serial = MonteCarlo(plan, n_runs=n_seeds).run()
-        parallel = MonteCarlo(plan, n_runs=n_seeds, n_workers=2).run()
-        identical = bool(np.array_equal(serial["v_diff"].values,
-                                        parallel["v_diff"].values))
-        classic_task = len(pickle.dumps((plan, 0, False)))
-        # A representative token (real names embed the parent pid).
-        token = PlanToken(name=f"{PLAN_PREFIX}{os.getpid()}_0",
-                          size=classic_task)
-        shm_task = len(pickle.dumps((token, 0, False)))
-        return {"n_seeds": n_seeds, "n_workers": 2,
-                "v_diff_mean": parallel["v_diff"].mean,
-                "bit_identical_to_serial": identical,
-                "classic_task_bytes": classic_task,
-                "shm_task_bytes": shm_task,
-                "payload_ratio": classic_task / shm_task,
-                **_solver_meta(plan.circuit)}
-    return case
-
-
 def _bench_scope_capture(quick: bool) -> Callable[[], dict]:
     """Triggered streaming capture on the buffer-chain testbench.
 
@@ -692,7 +653,6 @@ def default_cases(quick: bool = False,
         "batched_sweep": _bench_batched_sweep(n_points),
         "sparse_adder_chain": _bench_sparse_adder_chain(quick),
         "sparse_batched_montecarlo": _bench_sparse_batched_montecarlo(quick),
-        "shm_montecarlo": _bench_shm_montecarlo(n_seeds),
         "scope_capture": _bench_scope_capture(quick),
         "batched_transient_montecarlo":
             _bench_batched_transient_montecarlo(quick),

@@ -20,7 +20,6 @@ from typing import TextIO
 
 from ..errors import AnalysisError
 from ..scope.vcd import VcdWriter, exact_timescale
-from ..scope.vcd import identifier as _identifier  # re-export (legacy name)
 from ..stscl.gate_model import StsclGateDesign
 from .netlist import GateNetlist
 from .simulator import CycleSimulator

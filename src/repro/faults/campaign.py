@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .. import telemetry
-from ..analysis.parallel import (PlanToken, ensure_picklable, fetch_plan,
-                                 publish_plan, run_ordered,
+from ..analysis.parallel import (ensure_picklable, run_ordered,
                                  validate_workers)
 from ..errors import AnalysisError, ReproError
 from .models import FaultModel
@@ -82,25 +81,6 @@ def _fault_worker(build: Callable[[], object],
             outcome = _fault_eval(build, metric_fn, fault)
         return outcome + (trace.root.to_dict(),)
     with telemetry.span(f"fault-{fault.name}", fault=fault.name):
-        return _fault_eval(build, metric_fn, fault)
-
-
-def _fault_worker_shm(token: PlanToken, fault: "FaultModel",
-                      capture_trace: bool = False) -> tuple:
-    """Shared-memory twin of :func:`_fault_worker`: the ``(build,
-    metric_fn)`` pair is resolved through the worker-local plan cache,
-    so each task ships only the token and its fault.  The fetch runs
-    inside the traced region so the plan-cache counters ride back with
-    the fault's own spans."""
-    if capture_trace:
-        telemetry.reset()
-        with telemetry.tracing(f"fault-{fault.name}",
-                               fault=fault.name) as trace:
-            build, metric_fn = fetch_plan(token)
-            outcome = _fault_eval(build, metric_fn, fault)
-        return outcome + (trace.root.to_dict(),)
-    with telemetry.span(f"fault-{fault.name}", fault=fault.name):
-        build, metric_fn = fetch_plan(token)
         return _fault_eval(build, metric_fn, fault)
 
 
@@ -216,12 +196,6 @@ class FaultCampaign:
             ``metric_fn`` receives the solved
             :class:`~repro.spice.results.OpResult` (for batched lanes
             and structural faults alike) instead of the raw target.
-        shm: Parallel-path payload policy (``"auto"`` / ``"on"`` /
-            ``"off"``): with shared memory available the ``(build,
-            metric_fn)`` pair is published once and tasks carry only a
-            token plus their fault; ``"off"`` forces classic per-task
-            pickling, ``"on"`` errors when shared memory is missing.
-            Reports are identical either way.
         analysis: ``"op"`` (default) measures DC operating points.
             ``"transient"`` (``backend="batched"`` only) integrates the
             baseline and every lane-expressible fault as one lockstep
@@ -240,15 +214,11 @@ class FaultCampaign:
                  n_workers: int | None = None,
                  backend: str = "serial",
                  matrix_backend: str | None = None,
-                 shm: str = "auto",
                  analysis: str = "op",
                  t_stop: float | None = None,
                  tran_options=None) -> None:
         if not faults:
             raise AnalysisError("campaign needs at least one fault")
-        if shm not in ("auto", "on", "off"):
-            raise AnalysisError(
-                f"shm must be 'auto', 'on' or 'off', got {shm!r}")
         if backend not in ("serial", "batched"):
             raise AnalysisError(
                 f"backend must be 'serial' or 'batched', got {backend!r}")
@@ -276,7 +246,6 @@ class FaultCampaign:
         self.n_workers = validate_workers(n_workers)
         self.backend = backend
         self.matrix_backend = matrix_backend
-        self.shm = shm
         self.analysis = analysis
         self.t_stop = t_stop
         self.tran_options = tran_options
@@ -293,26 +262,10 @@ class FaultCampaign:
                               ("fault catalogue", self.faults)):
                 ensure_picklable(obj, role)
             trace_on = telemetry.is_enabled()
-            plan = (publish_plan((self.build, self.metric_fn))
-                    if self.shm in ("auto", "on") else None)
-            if plan is None:
-                if self.shm == "on":
-                    raise AnalysisError(
-                        "shm='on' but shared memory is unavailable on "
-                        "this platform; use shm='auto' to fall back to "
-                        "per-task pickling")
-                return run_ordered(_fault_worker,
-                                   [(self.build, self.metric_fn, fault,
-                                     trace_on)
-                                    for fault in self.faults],
-                                   self.n_workers)
-            try:
-                return run_ordered(_fault_worker_shm,
-                                   [(plan.token, fault, trace_on)
-                                    for fault in self.faults],
-                                   self.n_workers)
-            finally:
-                plan.close()
+            return run_ordered(_fault_worker,
+                               [(self.build, self.metric_fn, fault, trace_on)
+                                for fault in self.faults],
+                               self.n_workers)
         return [_fault_worker(self.build, self.metric_fn, fault)
                 for fault in self.faults]
 

@@ -1339,8 +1339,8 @@ class BatchedOpMetric:
 
         Builds the base circuit and compiles it **once**; the returned
         :class:`PlannedOpMetric` carries the compiled circuit along, so
-        every later evaluation -- in this process or in a worker that
-        received the plan through the shared-memory cache -- reuses the
+        every later evaluation -- in this process or in a pool worker
+        that unpickled the plan with its task chunk -- reuses the
         assembler instead of rebuilding and recompiling per seed.  This
         is what makes ``compile_cache_misses == 1`` across a whole
         parallel Monte-Carlo fleet.
@@ -1361,8 +1361,8 @@ class PlannedOpMetric:
     restores the circuit exactly, and every solve cold-starts from the
     circuit's nodesets, so per-seed results are bit-identical to the
     fresh-build :class:`BatchedOpMetric` path.  The plan pickles whole
-    (compiled assembler included), which is the payload the
-    shared-memory Monte-Carlo publishes once per campaign.
+    (compiled assembler included), so a process-pool Monte-Carlo ships
+    it with each task chunk and no worker recompiles.
     """
 
     circuit: "Circuit"

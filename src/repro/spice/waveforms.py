@@ -51,7 +51,7 @@ class Waveform:
 def _const_value(value: float, t: float) -> float:
     """Module-level constant evaluator: a ``functools.partial`` of this
     pickles, where the obvious lambda would not -- and DC circuits (the
-    shared-memory Monte-Carlo plans above all) must ship to worker
+    planned Monte-Carlo metrics above all) must ship to worker
     processes whole."""
     return value
 

@@ -73,6 +73,7 @@ class TestChunkedMonteCarlo:
         serial = MonteCarlo(_seeded_gaussian, n_runs=n_runs).run()
         chunked = MonteCarlo(_seeded_gaussian, n_runs=n_runs,
                              n_workers=2).run()
+        assert chunked.failed_seeds == serial.failed_seeds == []
         np.testing.assert_array_equal(serial["v"].values,
                                       chunked["v"].values)
         assert serial["v"].mean == chunked["v"].mean
@@ -157,131 +158,33 @@ class TestExceptionFidelity:
         assert error.diagnostics.stages[0].residuals
 
 
-# -- shared-memory plan cache ---------------------------------------------
-
-
-def _publish_or_skip(payload):
-    from repro.analysis import parallel as parallel_mod
-
-    plan = parallel_mod.publish_plan(payload)
-    if plan is None:
-        pytest.skip("shared memory unavailable on this platform")
-    return plan
-
-
-class TestSharedPlanCache:
-    """publish/fetch round trip, attach caching, lifetime hygiene."""
-
-    def test_round_trip_counts_one_miss_then_hits(self):
-        from repro import telemetry
-        from repro.analysis import parallel as parallel_mod
-
-        plan = _publish_or_skip({"answer": 42, "vector": [1.0, 2.0]})
-        try:
-            with telemetry.tracing("shm-plan") as trace:
-                first = parallel_mod.fetch_plan(plan.token)
-                second = parallel_mod.fetch_plan(plan.token)
-            assert first == {"answer": 42, "vector": [1.0, 2.0]}
-            assert second is first  # cache hit returns the same object
-            counters = trace.total_counters()
-            assert counters["shm_plan_misses"] == 1
-            assert counters["shm_plan_hits"] == 1
-        finally:
-            parallel_mod._attached_plans.pop(plan.token.name, None)
-            plan.close()
-
-    def test_close_is_idempotent_and_unlinks(self):
-        from repro.analysis import parallel as parallel_mod
-
-        plan = _publish_or_skip(list(range(100)))
-        name = plan.token.name
-        plan.close()
-        plan.close()  # second close: no-op, no exception
-        with pytest.raises(FileNotFoundError):
-            parallel_mod._attach_untracked(name)
-
-    def test_token_is_a_tiny_fixed_size_handle(self):
-        """The whole point: per-task payload carries a (name, size)
-        token, not the plan itself."""
-        import pickle
-
-        plan = _publish_or_skip({"bulk": list(range(5000))})
-        try:
-            assert len(pickle.dumps(plan.token)) * 10 < plan.nbytes
-        finally:
-            plan.close()
-
-    def test_publish_degrades_to_none_when_platform_refuses(
-            self, monkeypatch):
-        from repro.analysis import parallel as parallel_mod
-
-        if parallel_mod._shared_memory is None:
-            pytest.skip("shared memory unavailable on this platform")
-
-        def refuse(*args, **kwargs):
-            raise OSError("no /dev/shm")
-
-        monkeypatch.setattr(parallel_mod._shared_memory,
-                            "SharedMemory", refuse)
-        assert parallel_mod.publish_plan({"x": 1}) is None
-
-
 class TestShmMonteCarlo:
-    """The pool ships a PlanToken per task; results must be
-    bit-identical to the serial loop either way."""
+    """The shared-memory plan route is gone: the pool ships its metric
+    by per-chunk pickling only, and stays bit-identical to serial."""
 
     def test_shm_modes_are_bit_identical_to_serial(self):
-        from repro.analysis.parallel import shm_available
-
         serial = MonteCarlo(_seeded_gaussian, n_runs=12).run()
-        runs = {"off": MonteCarlo(_seeded_gaussian, n_runs=12,
-                                  n_workers=2, shm="off").run()}
-        if shm_available():
-            runs["on"] = MonteCarlo(_seeded_gaussian, n_runs=12,
-                                    n_workers=2, shm="on").run()
-        for mode, run in runs.items():
-            assert run.failed_seeds == serial.failed_seeds
-            for name in serial:
-                assert np.array_equal(run[name].values,
-                                      serial[name].values), mode
-
-    def test_no_leaked_segments_after_a_campaign(self):
-        import glob
-        import os
-
-        from repro.analysis.parallel import PLAN_PREFIX, shm_available
-
-        if not (shm_available() and os.path.isdir("/dev/shm")):
-            pytest.skip("no /dev/shm to inspect")
-        pattern = f"/dev/shm/{PLAN_PREFIX}*"
-        before = set(glob.glob(pattern))
-        MonteCarlo(_seeded_gaussian, n_runs=8, n_workers=2,
-                   shm="on").run()
-        assert set(glob.glob(pattern)) <= before
-
-    def test_shm_on_without_support_raises(self, monkeypatch):
-        import repro.analysis.montecarlo as mc_mod
-
-        monkeypatch.setattr(mc_mod, "publish_plan", lambda payload: None)
-        mc = MonteCarlo(_seeded_gaussian, n_runs=4, n_workers=2,
-                        shm="on")
-        with pytest.raises(AnalysisError, match="shm"):
-            mc.run()
-
-    def test_shm_auto_falls_back_to_classic_pickling(self, monkeypatch):
-        import repro.analysis.montecarlo as mc_mod
-
-        monkeypatch.setattr(mc_mod, "publish_plan", lambda payload: None)
-        serial = MonteCarlo(_seeded_gaussian, n_runs=8).run()
-        fallback = MonteCarlo(_seeded_gaussian, n_runs=8,
-                              n_workers=2).run()  # shm="auto"
+        pooled = MonteCarlo(_seeded_gaussian, n_runs=12,
+                            n_workers=2).run()
+        assert pooled.failed_seeds == serial.failed_seeds
         for name in serial:
-            assert np.array_equal(fallback[name].values,
+            assert np.array_equal(pooled[name].values,
                                   serial[name].values)
+        with pytest.raises(TypeError, match="shm"):
+            MonteCarlo(_seeded_gaussian, n_runs=12, n_workers=2,
+                       shm="on")
 
-    def test_shm_mode_validated(self):
-        with pytest.raises(AnalysisError, match="shm"):
-            MonteCarlo(_seeded_gaussian, shm="sometimes")
+    def test_shm_auto_falls_back_to_classic_pickling(self):
+        import repro.analysis.parallel as parallel_mod
+
+        for name in ("publish_plan", "fetch_plan", "shm_available"):
+            assert not hasattr(parallel_mod, name)
+        serial = MonteCarlo(_seeded_gaussian, n_runs=8).run()
+        pooled = MonteCarlo(_seeded_gaussian, n_runs=8,
+                            n_workers=2).run()
+        for name in serial:
+            assert np.array_equal(pooled[name].values,
+                                  serial[name].values)
 
 
 def _sparse_inverter_build():
@@ -338,7 +241,7 @@ class TestSparsePlanRoundTrip:
     def test_plan_compiles_exactly_once_fleet_wide(self):
         from repro import telemetry
 
-        with telemetry.tracing("shm-compile") as trace:
+        with telemetry.tracing("pool-compile") as trace:
             plan = self._plan()
             MonteCarlo(plan, n_runs=6, n_workers=2).run()
         counters = trace.total_counters()

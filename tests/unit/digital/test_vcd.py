@@ -5,8 +5,9 @@ import io
 import pytest
 
 from repro.digital.registers import build_binary_counter
-from repro.digital.vcd import _identifier, dump_vcd
+from repro.digital.vcd import dump_vcd
 from repro.errors import AnalysisError
+from repro.scope.vcd import identifier
 from repro.stscl import StsclGateDesign
 
 
@@ -19,12 +20,12 @@ def counter_vcd():
 
 class TestIdentifiers:
     def test_unique_for_many_signals(self):
-        ids = {_identifier(k) for k in range(500)}
+        ids = {identifier(k) for k in range(500)}
         assert len(ids) == 500
 
     def test_rejects_negative(self):
         with pytest.raises(AnalysisError):
-            _identifier(-1)
+            identifier(-1)
 
 
 class TestStructure:

@@ -200,44 +200,26 @@ class TestBatchedCampaign:
 
 
 class TestShmCampaign:
-    """Parallel campaigns ship (build, metric_fn) once through the
-    shared-memory plan cache; outcomes must not depend on the route."""
+    """Parallel campaigns ship (build, metric_fn) by per-chunk pickling
+    only; the removed shared-memory route leaves outcomes unchanged."""
 
     FAULTS = [ResistorDrift("R2", 3.0),
               BridgedNodes("mid", "0", resistance=1.0),
               _Explosive()]
 
     def test_shm_modes_match_serial_exactly(self):
-        from repro.analysis.parallel import shm_available
-
         serial = FaultCampaign(build=divider, metric_fn=mid_voltage,
                                faults=self.FAULTS).run()
-        modes = ["off"] + (["on"] if shm_available() else [])
-        for mode in modes:
-            pooled = FaultCampaign(build=divider, metric_fn=mid_voltage,
-                                   faults=self.FAULTS, n_workers=2,
-                                   shm=mode).run()
-            assert pooled.baseline == serial.baseline
-            for got, want in zip(pooled.outcomes, serial.outcomes):
-                assert got.fault == want.fault
-                assert got.metrics == want.metrics
-                assert got.error == want.error
-
-    def test_shm_on_without_support_raises(self, monkeypatch):
-        import repro.faults.campaign as campaign_mod
-
-        monkeypatch.setattr(campaign_mod, "publish_plan",
-                            lambda payload: None)
-        campaign = FaultCampaign(build=divider, metric_fn=mid_voltage,
-                                 faults=self.FAULTS, n_workers=2,
-                                 shm="on")
-        with pytest.raises(AnalysisError, match="shm"):
-            campaign.run()
-
-    def test_shm_mode_validated(self):
-        with pytest.raises(AnalysisError, match="shm"):
+        pooled = FaultCampaign(build=divider, metric_fn=mid_voltage,
+                               faults=self.FAULTS, n_workers=2).run()
+        assert pooled.baseline == serial.baseline
+        for got, want in zip(pooled.outcomes, serial.outcomes):
+            assert got.fault == want.fault
+            assert got.metrics == want.metrics
+            assert got.error == want.error
+        with pytest.raises(TypeError, match="shm"):
             FaultCampaign(build=divider, metric_fn=mid_voltage,
-                          faults=self.FAULTS, shm="sideways")
+                          faults=self.FAULTS, n_workers=2, shm="on")
 
 
 def pulse_divider() -> Circuit:
