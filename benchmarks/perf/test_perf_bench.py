@@ -306,11 +306,11 @@ def test_stacked_ac_is_at_least_5x_faster_than_loop():
         f"= {loop / stacked:.1f}x, expected >= 5x")
 
 
-def test_lte_bench_config_is_no_less_accurate_than_legacy():
+def test_lte_bench_config_is_no_less_accurate_than_fixed_grid():
     """Acceptance pin for the transient fast path: at the benchmark's
     LTE settings the D-latch waveforms are at least as close to a
-    dense-step reference as the pre-LTE heuristic (``dt_max = t_d/15``)
-    was, while committing far fewer steps."""
+    dense fixed-step reference (``t_d/100``) as a ``t_d/15`` fixed
+    grid is, while committing far fewer steps."""
     import numpy as np
 
     from repro.bench.perf import _design, _latch_circuit
@@ -323,7 +323,10 @@ def test_lte_bench_config_is_no_less_accurate_than_legacy():
         return transient(_latch_circuit(design), 10.0 * t_d,
                          TransientOptions(**overrides))
 
-    reference = run(step_control="legacy", dt_max=t_d / 100.0)
+    def fixed(h):
+        return run(dt_initial=h, dt_min=h, dt_max=h)
+
+    reference = fixed(t_d / 100.0)
 
     def error_vs_reference(result):
         worst = 0.0
@@ -334,8 +337,8 @@ def test_lte_bench_config_is_no_less_accurate_than_legacy():
                 np.abs(resampled - reference.voltage(node)))))
         return worst
 
-    legacy = run(step_control="legacy", dt_max=t_d / 15.0)
+    coarse = fixed(t_d / 15.0)
     lte = run(reltol=4e-3, abstol=1e-4, dt_max=t_d / 2.5)
-    assert error_vs_reference(lte) <= error_vs_reference(legacy)
+    assert error_vs_reference(lte) <= error_vs_reference(coarse)
     assert lte.telemetry.steps_accepted < \
-        0.7 * legacy.telemetry.steps_accepted
+        0.7 * coarse.telemetry.steps_accepted

@@ -22,7 +22,7 @@ one complex QZ decomposition ``C = Q S Zᴴ``, ``G = Q T Zᴴ`` turns
 every frequency into a back-substitution on the *triangular* matrix
 ``T + jω S``, which vectorizes across the whole grid (N numpy steps
 total instead of F LAPACK calls).  The result is residual-verified and
-any failure -- missing scipy, singular diagonal, loss of accuracy --
+any failure -- singular diagonal, loss of accuracy --
 falls back to the chunked direct solve.  ``backend="loop"`` keeps the
 one-solve-per-frequency reference path.
 """
@@ -32,11 +32,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-try:  # pragma: no cover - scipy is a declared dependency
-    from scipy.linalg import qz as _qz
-except ImportError:  # pragma: no cover - degraded environment
-    _qz = None
+from scipy.linalg import qz as _qz
 
 from .. import telemetry
 from ..errors import AnalysisError
@@ -182,14 +178,14 @@ def _solve_stacked(g_matrix: np.ndarray, c_matrix: np.ndarray,
                    tspan) -> np.ndarray:
     """Solve ``(G + jωC) v = b`` for every ω along a stacked axis.
 
-    Long grids take the QZ triangular sweep; short grids, degraded
-    environments and residual-check failures take the chunked direct
-    tensor solve.  Either way the telemetry counter advances by the
-    number of frequencies handled, so the per-run total still equals
+    Long grids take the QZ triangular sweep; short grids and
+    residual-check failures take the chunked direct tensor solve.
+    Either way the telemetry counter advances by the number of
+    frequencies handled, so the per-run total still equals
     one ``jacobian_factorization`` per frequency -- same
     reconciliation contract as the loop backend.
     """
-    if _qz is not None and omegas.size >= _QZ_MIN_FREQUENCIES:
+    if omegas.size >= _QZ_MIN_FREQUENCIES:
         solutions = _solve_qz_sweep(g_matrix, c_matrix, b, omegas)
         if solutions is not None:
             tspan.inc("jacobian_factorizations", int(omegas.size))

@@ -70,16 +70,14 @@ import numpy as np
 from .. import telemetry
 from ..errors import AnalysisError, ConvergenceError, NetlistError
 from .elements import CurrentSource, Resistor, VoltageSource
-from .sparse import SparseSystem, coo_to_csr, sparse_available
+from .sparse import SparseSystem, coo_to_csr
 from .strategies import (DEFAULT_LADDER, GminSteppingStrategy,
-                         NewtonOptions, SolverDiagnostics, StageReport,
-                         run_ladder, step_converged)
+                         LuReuseState, NewtonOptions, SolverDiagnostics,
+                         StageReport, _damping, run_ladder, step_converged)
 from .assembly import CircuitAssembler
 from .results import TranResult
-from .transient import (TransientOptions, TransientTelemetry,
-                        _BREAKPOINT_RESTART_FRACTION, _LTE_MAX_GROWTH,
-                        _LTE_MIN_SHRINK, _breakpoints, _lte_factor,
-                        _lte_norms_batch, _predict, transient)
+from .transient import (StepController, TransientOptions,
+                        TransientTelemetry, transient)
 from .waveforms import dc_wave
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -492,9 +490,6 @@ class BatchAssembler(CircuitAssembler):
         ``indices``/``indptr``, COLAMD ordering input) is computed once
         here and reused by every lane's numeric refactorization across
         every Newton iteration."""
-        if not sparse_available():  # pragma: no cover - guarded upstream
-            raise AnalysisError(
-                "sparse batched backend requires scipy.sparse")
         self.use_sparse = True
         self.sparse_batch_system()
 
@@ -685,7 +680,7 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
                    active_history: list[int],
                    time: float | None = None,
                    extra=None,
-                   chord: "_SparseChordState | None" = None,
+                   lu_states: "list[LuReuseState] | None" = None,
                    ) -> _BatchNewtonOutcome:
     """One batched damped-Newton solve over ``lanes_idx``, in place.
 
@@ -704,11 +699,17 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
     static assembly and before the gmin shunt -- the serial kernel's
     ``extra_stamp`` slot, which the batched transient engine fills with
     the stacked charge companions; it is called as
-    ``extra(jac_or_vals, res, X_active, active_idx)``.  ``chord``
-    carries the per-lane sparse LU/chord state across calls (the
-    batched transient holds one across accepted steps, invalidated on
-    dt changes); None creates one scoped to this call, preserving the
-    gmin-rung isolation guarantee.
+    ``extra(jac_or_vals, res, X_active, active_idx)``.
+
+    Sparse lanes run the serial kernel's chord Newton, one
+    :class:`~repro.spice.strategies.LuReuseState` per lane:
+    ``lu_states`` (indexed by lane) carries the cached SuperLU handles
+    across calls -- the batched transient holds one list across
+    accepted steps, keyed on the companion coefficient -- while None
+    creates states scoped to this call, preserving the gmin-rung
+    isolation guarantee.  The chord monitor's previous update norm is
+    per call, as in the serial kernel, so a step's first chord attempt
+    is never measured against the previous step's converged norm.
     """
     compiled = assembler.compiled
     B, N = X.shape
@@ -717,10 +718,9 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
     use_sparse = assembler.use_sparse
     system = assembler.sparse_batch_system() if use_sparse else None
     diag_slice = system.segment_slices["diag"] if use_sparse else None
-    if not (use_sparse and options.lu_reuse):
-        chord = None
-    elif chord is None:
-        chord = _SparseChordState()
+    if use_sparse and lu_states is None:
+        lu_states = [LuReuseState() for _ in range(B)]
+    prev_norm = np.full(B, np.inf)
     converged = np.zeros(B, dtype=bool)
     iterations = np.zeros(B, dtype=int)
     stall_checkpoint = np.full(B, np.inf)
@@ -785,8 +785,8 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
             res_norm = np.abs(res).max(axis=1)
         if use_sparse:
             dX, fresh = _solve_stacked_sparse(system, vals, res, active,
-                                              n_nodes, options, chord,
-                                              tspan)
+                                              n_nodes, options, lu_states,
+                                              prev_norm[active], tspan)
         else:
             dX = _solve_stacked(jac, res)
             fresh = None
@@ -824,15 +824,15 @@ def _newton_rounds(assembler: BatchAssembler, X: np.ndarray,
         v_max = (np.abs(X[active][:, :n_nodes]).max(axis=1) if n_nodes
                  else np.zeros(active.size))
         conv = step_converged(step_norm, v_max, options) & (scale == 1.0)
-        if chord is not None:
+        if use_sparse:
             # Never declare victory on a stale (chord) Jacobian: drop
             # the lane's cached factorization and let the next
             # iteration take -- and re-check -- a fresh full-Newton
             # step, exactly like the serial kernel.
             for lane in active[conv & ~fresh]:
-                chord.handles.pop(int(lane), None)
+                lu_states[lane].invalidate()
             conv &= fresh
-            chord.note_norms(active, step_norm)
+            prev_norm[active] = step_norm
         if tspan is not None:
             tspan.event("batch-iter", i=iteration,
                         n_active=int(active.size),
@@ -942,52 +942,19 @@ def _solve_stacked(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
         return dX
 
 
-class _SparseChordState:
-    """Per-lane chord-Newton bookkeeping for batched sparse solves.
-
-    By default scoped to a single :func:`_newton_rounds` call, so a
-    gmin-rung change can never serve a factorization of the previous
-    rung's shunted Jacobian.  The batched transient engine instead
-    holds one instance across accepted steps (cached SuperLU handles
-    from the last step's companion Jacobian are excellent chord
-    candidates at the next one) and keys it on the companion
-    coefficient ``c0 = f(dt)``: :meth:`ensure_key` drops every cached
-    handle whenever dt changes, and :meth:`invalidate` clears the cache
-    after rejected attempts whose trial states were discarded.
-    """
-
-    __slots__ = ("handles", "prev_norm", "key")
-
-    def __init__(self) -> None:
-        self.handles: dict[int, object] = {}
-        self.prev_norm: dict[int, float] = {}
-        self.key: float | None = None
-
-    def note_norms(self, active: np.ndarray,
-                   step_norm: np.ndarray) -> None:
-        for lane, norm in zip(active, step_norm):
-            self.prev_norm[int(lane)] = float(norm)
-
-    def ensure_key(self, key: float) -> None:
-        if key != self.key:
-            self.invalidate()
-            self.key = key
-
-    def invalidate(self) -> None:
-        self.handles.clear()
-        self.prev_norm.clear()
-
-
 def _solve_stacked_sparse(system: SparseSystem, vals: np.ndarray,
                           res: np.ndarray, active: np.ndarray,
                           n_nodes: int, options: NewtonOptions,
-                          chord: _SparseChordState | None,
+                          lu_states: list[LuReuseState],
+                          prev_norm: np.ndarray,
                           tspan) -> tuple[np.ndarray, np.ndarray]:
     """Per-lane sparse solves over the shared symbolic pattern.
 
-    Mirrors the serial sparse kernel lane by lane: a lane with a cached
-    SuperLU handle first tries a chord step, accepted only under the
-    ``lu_contraction`` monitor; otherwise its CSC data row is
+    Mirrors the serial sparse kernel lane by lane: a lane whose
+    ``lu_states`` entry holds a SuperLU handle first tries a chord
+    step, accepted only when its damped update norm is within
+    ``lu_contraction`` of the lane's ``prev_norm`` (the previous
+    iteration's, aligned with ``active``); otherwise its CSC data row is
     numerically refactorized on the shared ``indices``/``indptr``
     structure (the column ordering, fixed by the system's first
     factorization, is never recomputed).  Exactly-singular and
@@ -1005,21 +972,16 @@ def _solve_stacked_sparse(system: SparseSystem, vals: np.ndarray,
     for k in range(active.size):
         lane = int(active[k])
         rhs = -res[k]
-        if chord is not None:
-            handle = chord.handles.get(lane)
-            if handle is not None:
-                candidate = handle.solve(rhs)
-                if np.all(np.isfinite(candidate)):
-                    biggest = (float(np.abs(candidate[:n_nodes]).max())
-                               if n_nodes else 0.0)
-                    scale = (1.0 if biggest <= options.max_step
-                             else options.max_step / max(biggest, 1e-300))
-                    prev = chord.prev_norm.get(lane, np.inf)
-                    if biggest * scale <= options.lu_contraction * prev:
-                        dX[k] = candidate
-                        if tspan is not None:
-                            tspan.inc("lu_reuses")
-                        continue
+        state = lu_states[lane]
+        if state.lu is not None:
+            candidate = state.lu.solve(rhs)
+            if np.all(np.isfinite(candidate)):
+                biggest, scale = _damping(candidate, n_nodes, options)
+                if biggest * scale <= options.lu_contraction * prev_norm[k]:
+                    dX[k] = candidate
+                    if tspan is not None:
+                        tspan.inc("lu_reuses")
+                    continue
         ordered = system.perm_c is not None
         handle = system.factorize(data[k])
         if not ordered and system.perm_c is not None:
@@ -1027,13 +989,11 @@ def _solve_stacked_sparse(system: SparseSystem, vals: np.ndarray,
             # the remaining rows in it.
             data = system.batch_data(vals)
         fresh[k] = True
-        if chord is not None:
-            chord.handles[lane] = handle
+        state.lu = handle
         if tspan is not None:
             tspan.inc("jacobian_factorizations")
             tspan.inc("sparse_factorizations")
-            if chord is not None:
-                tspan.inc("lu_refactorizations")
+            tspan.inc("lu_refactorizations")
         if handle is not None:
             dX[k] = handle.solve(rhs)
         else:
@@ -1474,10 +1434,15 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
     ``extra_stamp`` slot), then one LTE estimate *per lane*, reduced to
     a shared verdict by the min-rule: any lane over tolerance rejects
     the step for everyone, and the accepted-growth factor is the most
-    conservative lane's ask (same growth cap / shrink floor as the
-    serial controller).  Sparse campaigns keep one
-    :class:`_SparseChordState` across accepted steps, so an unchanged
-    dt lets lanes ride chord steps on the previous step's LU handles.
+    conservative lane's ask.  Step sizing, breakpoints, the predictor
+    and the LTE estimate are the serial engine's own
+    :class:`~repro.spice.transient.StepController`, fed the stacked
+    lane solutions.  Sparse campaigns keep one
+    :class:`~repro.spice.strategies.LuReuseState` per lane across
+    accepted steps, so an unchanged dt lets each lane ride chord steps
+    on its previous step's LU handle under the serial kernel's rule --
+    a one-lane sparse run factorizes and reuses exactly as often as
+    its serial twin.
 
     Per-lane kick-out mirrors the batched-DC fallback contract: a lane
     that fails its initial DC point, fails Newton with the step floored
@@ -1504,11 +1469,6 @@ def batch_transient(circuit: "Circuit", lanes: Sequence[LaneSpec],
     options = options or TransientOptions()
     if options.method not in ("trap", "be"):
         raise NetlistError(f"unknown method {options.method!r}")
-    if options.step_control != "lte":
-        raise AnalysisError(
-            "the batched transient engine is LTE-only; "
-            "step_control='legacy' is a serial bit-compat mode -- run "
-            "those lanes through the serial transient()")
     if on_error not in ("raise", "skip"):
         raise NetlistError(
             f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -1542,20 +1502,10 @@ def _batch_transient_run(circuit: "Circuit", lanes: list[LaneSpec],
                          budget: int, tspan) -> BatchTranResult:
     start = _time.perf_counter()
     B = len(lanes)
-    dt = options.dt_initial or t_stop / 1000.0
-    dt_min = options.dt_min or t_stop * 1e-9
-    dt_max = options.dt_max or t_stop / 50.0
-    dt = min(dt, dt_max)
-    newton_options = options.newton
-    deadline = None
-    if options.max_wall_time is not None:
-        deadline = start + options.max_wall_time
-        newton_options = dataclasses.replace(newton_options,
-                                             deadline=deadline)
-    # Same Newton/waveform tolerance coupling as the serial LTE path.
-    newton_options = dataclasses.replace(
-        newton_options, vntol=max(newton_options.vntol, options.abstol))
-    order = 2 if options.method == "trap" else 1
+    control = StepController(circuit, t_stop, options)
+    newton_options = control.newton
+    deadline = control.deadline
+    dt_min = control.dt_min
 
     compiled = circuit.compile()
     assembler = BatchAssembler(compiled, lanes)
@@ -1651,12 +1601,9 @@ def _batch_transient_run(circuit: "Circuit", lanes: list[LaneSpec],
     recorded_sources = [e for e in circuit.elements
                         if isinstance(e, VoltageSource)]
 
-    breakpoints = _breakpoints(circuit, t_stop)
-    bp_cursor = 0
-    hist_t: list[float] = [0.0]
-    hist_X: list[np.ndarray] = [X.copy()]
-    chord = (_SparseChordState()
-             if use_sparse and newton_options.lu_reuse else None)
+    control.begin(X, n_nodes)
+    lu_states = ([LuReuseState() for _ in range(B)] if use_sparse
+                 else None)
     aborted: ConvergenceError | None = None
 
     def _reject(cause: str, bad: np.ndarray, t: float, step: float,
@@ -1693,16 +1640,7 @@ def _batch_transient_run(circuit: "Circuit", lanes: list[LaneSpec],
                 f"({diag.describe()})",
                 diagnostics=diag, stage="wall-clock")
             break
-        while (bp_cursor < len(breakpoints)
-               and breakpoints[bp_cursor] <= t * (1 + 1e-12)):
-            bp_cursor += 1
-        t_limit = (breakpoints[bp_cursor] if bp_cursor < len(breakpoints)
-                   else t_stop)
-        t_limit = min(t_limit, t_stop)
-        step = min(dt, t_limit - t)
-        if step <= 0.0:
-            bp_cursor += 1
-            continue
+        step = control.next_step(t)
 
         accepted = False
         err_norms = None
@@ -1718,10 +1656,11 @@ def _batch_transient_run(circuit: "Circuit", lanes: list[LaneSpec],
             else:
                 c0 = 1.0 / step
                 RHS = -c0 * q_prev
-            if chord is not None:
+            if lu_states is not None:
                 # dt (hence c0) changed => the companion stamps changed
                 # => every cached per-lane factorization is stale.
-                chord.ensure_key(c0)
+                for state in lu_states:
+                    state.ensure_key(c0)
 
             def dynamic_stamp(target, res, Xa, lane_idx,
                               _c0=c0, _rhs=RHS):
@@ -1730,17 +1669,9 @@ def _batch_transient_run(circuit: "Circuit", lanes: list[LaneSpec],
                     segment_slices=seg_slices)
 
             # Shared-grid predictor: the LTE reference and Newton's
-            # warm start, exactly like the serial controller (the
-            # scalar Lagrange weights broadcast over the stacked
-            # history rows unchanged).
-            X_pred = None
-            pred_order = 0
-            if len(hist_t) >= 2:
-                k = min(order + 1, len(hist_t))
-                candidate = _predict(t_new, hist_t, hist_X, k)
-                if np.all(np.isfinite(candidate[live])):
-                    X_pred = candidate
-                    pred_order = k - 1
+            # warm start (the scalar Lagrange weights broadcast over
+            # the stacked history rows unchanged).
+            X_pred, pred_order = control.predict(t_new, rows=live)
             X_try = X.copy()
             if X_pred is not None:
                 X_try[live] = X_pred[live]
@@ -1748,7 +1679,7 @@ def _batch_transient_run(circuit: "Circuit", lanes: list[LaneSpec],
                                      newton_options,
                                      newton_options.gmin, [],
                                      time=t_new, extra=dynamic_stamp,
-                                     chord=chord)
+                                     lu_states=lu_states)
             ok = (outcome.converged[live]
                   & np.all(np.isfinite(X_try[live]), axis=1))
             solved_iters = np.where(ok, outcome.iterations[live], 0)
@@ -1769,7 +1700,7 @@ def _batch_transient_run(circuit: "Circuit", lanes: list[LaneSpec],
                 failed = live[~ok]
                 if not _reject("newton", failed, t, step):
                     break
-                at_floor = step / 4.0 < dt_min
+                at_floor = control.newton_retry(step) < dt_min
                 for lane in failed:
                     lane = int(lane)
                     why = outcome.reasons.get(
@@ -1785,20 +1716,17 @@ def _batch_transient_run(circuit: "Circuit", lanes: list[LaneSpec],
                                   f"of {budget} on the shared grid "
                                   f"(t={t:.3e}s, Newton: {why})")
                 if any(live_mask[lane] for lane in failed):
-                    step /= 4.0
+                    step = control.newton_retry(step)
                 continue
 
             err_norms = None
             if X_pred is not None:
-                err_norms = _lte_norms_batch(
-                    t_new, X_try[live], X_pred[live], hist_t,
-                    hist_X[-1][live], n_nodes, pred_order, options)
-                # Reduced-order estimates steer but never reject, as
-                # in the serial controller.
-                if pred_order == order:
+                err_norms = control.lte_norms(t_new, X_try, X_pred,
+                                              pred_order, rows=live)
+                if control.can_reject(pred_order):
                     rejecting = err_norms > 1.0
                     if rejecting.any():
-                        if step <= dt_min * (1.0 + 1e-9):
+                        if control.at_floor(step):
                             tspan.event(
                                 "lte-floor", t=t, dt=step,
                                 err_norm=float(err_norms.max()))
@@ -1824,11 +1752,8 @@ def _batch_transient_run(circuit: "Circuit", lanes: list[LaneSpec],
                                 # ask shrinks the shared step.
                                 worst = float(np.max(
                                     bad_errs[np.asarray(survivors)]))
-                                factor = max(
-                                    _LTE_MIN_SHRINK,
-                                    min(0.9, _lte_factor(worst,
-                                                         pred_order)))
-                                step = max(dt_min, step * factor)
+                                step = control.lte_retry(step, worst,
+                                                         pred_order)
                             continue
             accepted = True
 
@@ -1858,31 +1783,11 @@ def _batch_transient_run(circuit: "Circuit", lanes: list[LaneSpec],
             if scope is not None:
                 scope._on_sample(t, X[k])
 
-        landed_on_breakpoint = (
-            bp_cursor < len(breakpoints)
-            and t >= breakpoints[bp_cursor] * (1 - 1e-12))
-        if landed_on_breakpoint:
-            hist_t = []
-            hist_X = []
-            gap = (breakpoints[bp_cursor + 1]
-                   if bp_cursor + 1 < len(breakpoints)
-                   else t_stop) - t
-            dt = max(dt_min,
-                     min(step, gap * _BREAKPOINT_RESTART_FRACTION))
-        else:
-            hist_t.append(t)
-            hist_X.append(X.copy())
-            if len(hist_t) > order + 1:
-                del hist_t[0], hist_X[0]
-            if err_norms is None:
-                factor = 1.0
-            else:
-                # Min-rule growth: the most conservative lane (largest
-                # error norm) sets the shared next step.
-                factor = min(_LTE_MAX_GROWTH,
-                             max(0.3, _lte_factor(float(err_norms.max()),
-                                                  pred_order)))
-            dt = min(dt_max, max(dt_min, step * factor))
+        # Min-rule growth: the most conservative lane (largest error
+        # norm) sets the shared next step.
+        control.accept(t, X.copy(), step,
+                       None if err_norms is None
+                       else float(err_norms.max()), pred_order)
 
     if aborted is not None:
         if on_error == "raise":

@@ -70,22 +70,18 @@ class CompiledCircuit:
         * ``"dense"`` always stays dense;
         * ``"sparse"`` demands the sparse backend and raises
           :class:`~repro.errors.NetlistError` when it cannot be honored
-          (scipy.sparse missing, or foreign elements whose imperative
-          stamps have no triplet twin);
+          (foreign elements whose imperative stamps have no triplet
+          twin);
         * ``"auto"`` (default) picks sparse when the system has at
           least :data:`~repro.spice.sparse.SPARSE_AUTO_THRESHOLD`
           unknowns and the circuit is sparse-eligible.
         """
         if self._solver_backend is None:
-            from .sparse import SPARSE_AUTO_THRESHOLD, sparse_available
+            from .sparse import SPARSE_AUTO_THRESHOLD
             requested = getattr(self.circuit, "matrix_backend", "auto")
             if requested == "dense":
                 self._solver_backend = "dense"
             elif requested == "sparse":
-                if not sparse_available():
-                    raise NetlistError(
-                        f"{self.circuit.name}: matrix_backend='sparse' "
-                        f"requires scipy.sparse")
                 if not self.assembler.sparse_eligible:
                     raise NetlistError(
                         f"{self.circuit.name}: matrix_backend='sparse' "
@@ -95,7 +91,6 @@ class CompiledCircuit:
             else:
                 self._solver_backend = (
                     "sparse" if self.size >= SPARSE_AUTO_THRESHOLD
-                    and sparse_available()
                     and self.assembler.sparse_eligible else "dense")
         return self._solver_backend
 

@@ -36,15 +36,11 @@ to SuperLU on MNA-sparsity matrices.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csc_matrix as _csc_matrix
+from scipy.sparse.linalg import splu as _splu
 
 from .. import telemetry
 from ..errors import ConvergenceError
-
-try:  # pragma: no cover - scipy is a declared dependency
-    from scipy.sparse import csc_matrix as _csc_matrix
-    from scipy.sparse.linalg import splu as _splu
-except ImportError:  # pragma: no cover - degraded environment
-    _csc_matrix = _splu = None
 
 #: Unknown count at and above which ``matrix_backend="auto"`` picks the
 #: sparse backend.  Set from the dense-vs-sparse crossover measured by
@@ -52,11 +48,6 @@ except ImportError:  # pragma: no cover - degraded environment
 #: LAPACK keeps winning through a few hundred unknowns on MNA-sparsity
 #: matrices, sparse wins decisively by ~1000.
 SPARSE_AUTO_THRESHOLD = 500
-
-
-def sparse_available() -> bool:
-    """True when scipy.sparse (and SuperLU) imported successfully."""
-    return _splu is not None
 
 
 class SparseSystem:
@@ -71,9 +62,6 @@ class SparseSystem:
 
     def __init__(self, size: int,
                  segments: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
-        if _csc_matrix is None:  # pragma: no cover - guarded by callers
-            raise ConvergenceError(
-                "scipy.sparse unavailable: sparse backend cannot build")
         self.size = size
         self.segment_slices: dict[str, slice] = {}
         rows_parts, cols_parts = [], []

@@ -34,24 +34,20 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
+# Raw LAPACK bindings: same getrf/getrs pair scipy.linalg's
+# lu_factor/lu_solve wrap, minus the per-call asarray/check_finite
+# wrapper overhead -- which is comparable to the factorization itself
+# at MNA sizes.  The (lu, piv) handle this module stores is
+# LAPACK-native (1-based pivots) and is only ever fed back to _getrs
+# here.
+from scipy.linalg.lapack import dgetrf as _getrf
+from scipy.linalg.lapack import dgetrs as _getrs
 
 from .. import telemetry
 from ..errors import ConvergenceError
 from .elements import CurrentSource, Stamper, VoltageSource
 from .sparse import SparseStamper
 from .waveforms import dc_wave
-
-try:  # pragma: no cover - scipy is a declared dependency
-    # Raw LAPACK bindings: same getrf/getrs pair scipy.linalg's
-    # lu_factor/lu_solve wrap, minus the per-call asarray/check_finite
-    # wrapper overhead -- which is comparable to the factorization
-    # itself at MNA sizes.  The (lu, piv) handle this module stores is
-    # LAPACK-native (1-based pivots) and is only ever fed back to
-    # _getrs here.
-    from scipy.linalg.lapack import dgetrf as _getrf
-    from scipy.linalg.lapack import dgetrs as _getrs
-except ImportError:  # pragma: no cover - degraded environment
-    _getrf = _getrs = None
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .netlist import Circuit, CompiledCircuit
@@ -77,24 +73,24 @@ class NewtonOptions:
             its whole iteration budget before the next homotopy rung --
             which converges such cases quickly -- gets a turn.  0
             disables the detector.
-        lu_reuse: Hold one LU factorization of the Jacobian across
-            Newton iterations (chord / modified Newton) -- and, when
-            the caller supplies a :class:`LuReuseState`, across
-            transient time steps -- refactoring only when the
-            convergence-rate monitor trips.  The residual is always
-            assembled exactly, so the converged solution is the same
-            fixed point; only the iteration trajectory differs.
-        lu_contraction: Contraction the monitor demands of a
-            reused-factorization step: the damped update norm must
-            shrink below ``lu_contraction`` times the previous
-            iteration's, otherwise the step is discarded and redone
-            with a fresh factorization of the current Jacobian.  The
-            default is deliberately strict: residual assembly costs
-            several times a factorization on MNA systems of this size,
-            so a chord that merely *converges* (say 10x per iteration)
-            still loses wall time to the extra assembled iterations
-            its linear tail needs -- reuse must be nearly free (close
-            to the quadratic trajectory) to pay.
+        lu_contraction: Contraction the chord-Newton monitor demands
+            of a reused-factorization step.  The kernel holds one LU
+            factorization of the Jacobian across Newton iterations --
+            and, when the caller supplies a :class:`LuReuseState`,
+            across transient time steps -- and keeps a step solved on
+            it only while the damped update norm shrinks below
+            ``lu_contraction`` times the previous iteration's;
+            otherwise the step is discarded and redone with a fresh
+            factorization of the current Jacobian.  The residual is
+            always assembled exactly, so the converged solution is the
+            same fixed point; only the iteration trajectory differs.
+            The default is deliberately strict: residual assembly
+            costs several times a factorization on MNA systems of this
+            size, so a chord that merely *converges* (say 10x per
+            iteration) still loses wall time to the extra assembled
+            iterations its linear tail needs -- reuse must be nearly
+            free (close to the quadratic trajectory) to pay.  0.0
+            disables the chord: every iteration factorizes.
         max_wall_time: Wall-clock budget [s] for one whole ladder solve
             (every rung included).  When exhausted, the solve aborts
             with a :class:`~repro.errors.ConvergenceError` carrying the
@@ -113,7 +109,6 @@ class NewtonOptions:
     max_step: float = 0.3
     gmin: float = 1.0e-15
     stall_window: int = 25
-    lu_reuse: bool = True
     lu_contraction: float = 0.04
     max_wall_time: float | None = None
     deadline: float | None = None
@@ -194,8 +189,7 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
 
 def _factorize(jac: np.ndarray):
     """LU-factor ``jac``; None when it is singular or non-finite (the
-    caller then falls back to least squares, matching the behavior of
-    the plain ``np.linalg.solve`` path)."""
+    caller then falls back to least squares)."""
     lu, piv, info = _getrf(jac)
     # info > 0 flags an exactly zero pivot; NaN/Inf inputs propagate
     # into the factors, caught by the isfinite sweep.
@@ -254,7 +248,7 @@ def newton_solve(compiled: "CompiledCircuit", x0: np.ndarray,
     iteration -- the trajectory the diagnostics record keeps.
     ``lu_state`` carries a Jacobian factorization across calls (the
     transient engine's cross-step chord iteration); without it, LU
-    reuse -- when enabled by ``options.lu_reuse`` -- is scoped to the
+    reuse (see :attr:`NewtonOptions.lu_contraction`) is scoped to the
     iterations of this one solve.  Under an active telemetry trace each
     solve opens a ``newton`` span carrying one ``newton-iter`` event
     per iteration (residual, update norm, damping, stall-detector
@@ -288,9 +282,7 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
     n_nodes = len(compiled.node_index)
     stall_checkpoint = np.inf
     stall_residual = np.inf
-    reusing = options.lu_reuse and (sparse_mode or _getrf is not None)
-    state = (lu_state if lu_state is not None else LuReuseState()) \
-        if reusing else None
+    state = lu_state if lu_state is not None else LuReuseState()
     prev_norm = np.inf
     observing = trace is not None or tspan is not None
     deadline = options.deadline
@@ -318,12 +310,12 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
         # Linear step.  With a cached factorization, try the chord step
         # first; keep it only while it contracts the damped update norm
         # by the configured ratio (the residual is exact either way, so
-        # the converged fixed point is unchanged).  Otherwise -- and on
-        # the non-reuse path -- factorize the current Jacobian.
+        # the converged fixed point is unchanged).  Otherwise factorize
+        # the current Jacobian.
         dx = None
         reused = False
         biggest = scale = 0.0
-        if state is not None and state.lu is not None:
+        if state.lu is not None:
             candidate = _lu_apply(state.lu, -st.res)
             if np.all(np.isfinite(candidate)):
                 biggest, scale = _damping(candidate, n_nodes, options)
@@ -333,24 +325,17 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
             if sparse_mode:
                 # The CSC data only materialises on factorizing
                 # iterations -- chord steps above never need it.
-                handle = st.factorize()
-                if state is not None:
-                    state.lu = handle
-                if handle is not None:
-                    dx = _lu_apply(handle, -st.res)
+                state.lu = st.factorize()
+                if state.lu is not None:
+                    dx = _lu_apply(state.lu, -st.res)
                 else:
                     dx = _lstsq_step(st.matrix().toarray(), -st.res,
                                      compiled, iteration)
-            elif state is not None:
+            else:
                 state.lu = _factorize(st.jac)
                 if state.lu is not None:
                     dx = _lu_apply(state.lu, -st.res)
                 else:
-                    dx = _lstsq_step(st.jac, -st.res, compiled, iteration)
-            else:
-                try:
-                    dx = np.linalg.solve(st.jac, -st.res)
-                except np.linalg.LinAlgError:
                     dx = _lstsq_step(st.jac, -st.res, compiled, iteration)
             if not np.all(np.isfinite(dx)):
                 raise ConvergenceError(
@@ -364,8 +349,7 @@ def _newton_kernel(compiled: "CompiledCircuit", x0: np.ndarray,
                 tspan.inc("jacobian_factorizations")
                 if sparse_mode:
                     tspan.inc("sparse_factorizations")
-                if state is not None:
-                    tspan.inc("lu_refactorizations")
+                tspan.inc("lu_refactorizations")
         x += scale * dx
         prev_norm = biggest * scale
         if iteration == 1:

@@ -9,25 +9,24 @@ new time point stamps the companion current
 
 Waveform breakpoints (pulse edges etc.) are always landed on exactly.
 
-Two step controllers are available (``TransientOptions.step_control``):
-
-* ``"lte"`` (default) -- a local-truncation-error controller: each
-  accepted candidate solution is compared against a polynomial
-  predictor extrapolated through the last accepted points; the
-  difference, scaled by the standard per-method error constant
-  (``dt^3 x'''/12`` for trap, ``dt^2 x''/2`` for backward Euler),
-  estimates the LTE, and the step size is driven toward the
-  ``reltol``/``abstol`` target.  Steps whose estimated error exceeds
-  the target are rejected and retried smaller -- telemetry
-  distinguishes these *LTE rejections* from *Newton rejections*.
-* ``"legacy"`` -- the original grow-on-easy-steps heuristic, kept
-  bit-compatible (it also pins the Newton kernel to the
-  always-refactorize linear solver) for reproducing old waveforms.
+Step sizes come from one local-truncation-error controller,
+:class:`StepController`: each accepted candidate solution is compared
+against a polynomial predictor extrapolated through the last accepted
+points; the difference, scaled by the standard per-method error
+constant (``dt^3 x'''/12`` for trap, ``dt^2 x''/2`` for backward
+Euler), estimates the LTE, and the step size is driven toward the
+``reltol``/``abstol`` target.  Steps whose estimated error exceeds the
+target are rejected and retried smaller -- telemetry distinguishes
+these *LTE rejections* from *Newton rejections*.  A fixed grid is
+``dt_initial == dt_min == dt_max``.  The lockstep ensemble engine
+(:func:`~repro.spice.batch.batch_transient`) drives the same
+controller with stacked ``(B, N)`` lane solutions and reduces the
+per-lane verdicts by its min-rule.
 
 The per-step Newton solves share one Jacobian LU factorization through
 a :class:`~repro.spice.strategies.LuReuseState` held across accepted
-steps and invalidated on every dt change; see
-:class:`~repro.spice.strategies.NewtonOptions.lu_reuse`.
+steps and invalidated on every dt change (chord Newton under the
+:attr:`~repro.spice.strategies.NewtonOptions.lu_contraction` monitor).
 """
 
 from __future__ import annotations
@@ -68,10 +67,6 @@ class TransientOptions:
             alike.  A circuit that keeps rejecting steps is diagnosed
             early with its telemetry instead of grinding the step size
             down to ``dt_min``.
-        step_control: ``"lte"`` (default) for the truncation-error
-            controller, ``"legacy"`` for the pre-LTE grow-only
-            heuristic (bit-compatible: also disables LU reuse in the
-            per-step Newton solves).
         reltol: Relative waveform-error target per step (LTE control).
         abstol: Absolute waveform-error floor per step [V].
         trtol: Truncation-error overestimation divisor (SPICE's TRTOL).
@@ -92,7 +87,6 @@ class TransientOptions:
     newton: NewtonOptions = NewtonOptions(max_iterations=60)
     record_currents: bool = False
     max_rejections: int | None = None
-    step_control: str = "lte"
     reltol: float = 1.0e-3
     abstol: float = 1.0e-6
     trtol: float = 7.0
@@ -219,34 +213,6 @@ def _predict(t_new: float, hist_t: list[float],
     return pred
 
 
-def _lte_norm(t_new: float, x_new: np.ndarray, x_pred: np.ndarray,
-              hist_t: list[float], hist_x: list[np.ndarray],
-              n_nodes: int, order: int,
-              options: TransientOptions) -> float:
-    """Estimated LTE over the node voltages, normalised to the
-    ``reltol``/``abstol`` target (``<= 1`` accepts the step).
-
-    The predictor difference ``x_new - p(t_new)`` equals
-    ``prod(t_new - t_i) * DD_{k}`` with ``DD_k`` the k-th divided
-    difference including the new point, which yields the standard
-    truncation-error estimates ``dt^3 x'''/12`` (trap, ``x''' ~ 6 DD3``)
-    and ``dt^2 x''/2`` (BE, ``x'' ~ 2 DD2``).
-    """
-    if n_nodes == 0:
-        return 0.0
-    err = np.abs(x_new[:n_nodes] - x_pred[:n_nodes])
-    dt = t_new - hist_t[-1]
-    if order == 2:
-        w = (dt * (t_new - hist_t[-2]) * (t_new - hist_t[-3]))
-        lte = err * (dt ** 3) / (2.0 * w)
-    else:
-        w = dt * (t_new - hist_t[-2])
-        lte = err * (dt ** 2) / w
-    tol = options.abstol + options.reltol * np.maximum(
-        np.abs(x_new[:n_nodes]), np.abs(hist_x[-1][:n_nodes]))
-    return float(np.max(lte / (options.trtol * tol)))
-
-
 def _lte_factor(err_norm: float, order: int) -> float:
     """Step-scale factor an error norm asks for (clamped by caller)."""
     if err_norm <= 0.0:
@@ -254,28 +220,193 @@ def _lte_factor(err_norm: float, order: int) -> float:
     return _LTE_SAFETY * err_norm ** (-1.0 / (order + 1))
 
 
-def _lte_norms_batch(t_new: float, X_new: np.ndarray,
-                     X_pred: np.ndarray, hist_t: list[float],
-                     X_last: np.ndarray, n_nodes: int, order: int,
-                     options: TransientOptions) -> np.ndarray:
-    """Per-lane twin of :func:`_lte_norm` for the batched transient
-    engine: one normalised error norm per lane row of ``X_new`` (A, N),
-    against the shared-grid history times ``hist_t`` and the last
-    accepted solutions ``X_last`` (A, N).  Row ``k`` equals a serial
-    ``_lte_norm`` call on lane ``k``'s vectors."""
-    if n_nodes == 0:
-        return np.zeros(X_new.shape[0])
-    err = np.abs(X_new[:, :n_nodes] - X_pred[:, :n_nodes])
-    dt = t_new - hist_t[-1]
-    if order == 2:
-        w = (dt * (t_new - hist_t[-2]) * (t_new - hist_t[-3]))
-        lte = err * (dt ** 3) / (2.0 * w)
-    else:
-        w = dt * (t_new - hist_t[-2])
-        lte = err * (dt ** 2) / w
-    tol = options.abstol + options.reltol * np.maximum(
-        np.abs(X_new[:, :n_nodes]), np.abs(X_last[:, :n_nodes]))
-    return np.max(lte / (options.trtol * tol), axis=1)
+class StepController:
+    """The LTE step-size policy of one transient run.
+
+    Both :func:`transient` and the lockstep ensemble engine
+    (:func:`~repro.spice.batch.batch_transient`) drive one instance;
+    each engine keeps only its own failure handling (the serial engine
+    raises, the batched one kicks lanes out and reduces per-lane
+    verdicts by its min-rule).  The controller owns the dt bounds and
+    the Newton tolerance coupling, the snapping of steps onto waveform
+    breakpoints, the predictor history and its restart at waveform
+    corners, the LTE estimate and the shrink / grow factors.
+
+    History vectors are whatever the engine commits: one solution
+    vector (serial) or a ``(B, N)`` lane stack (batched).  Every
+    operation acts along the last axis, so one lane of a stack follows
+    exactly the arithmetic of a serial run; ``rows`` selects the live
+    lanes of a stack.
+    """
+
+    def __init__(self, circuit: Circuit, t_stop: float,
+                 options: TransientOptions) -> None:
+        self.options = options
+        self.t_stop = t_stop
+        self.dt_min = options.dt_min or t_stop * 1e-9
+        self.dt_max = options.dt_max or t_stop / 50.0
+        self.dt = min(options.dt_initial or t_stop / 1000.0, self.dt_max)
+        self.order = 2 if options.method == "trap" else 1
+        newton = options.newton
+        #: One absolute wall-clock deadline for the whole run, also
+        #: threaded into every Newton solve so a single stuck solve
+        #: cannot outlive the budget (None: unlimited).
+        self.deadline = None
+        if options.max_wall_time is not None:
+            self.deadline = _time.perf_counter() + options.max_wall_time
+            newton = replace(newton, deadline=self.deadline)
+        # The waveform accuracy contract is (reltol, abstol); resolving
+        # each nonlinear solve tighter than the absolute waveform
+        # tolerance is wasted iterations, so the Newton update
+        # tolerance is raised to ``abstol`` (a tighter user-set
+        # ``vntol`` is honoured by lowering ``abstol``).
+        self.newton = replace(newton,
+                              vntol=max(newton.vntol, options.abstol))
+        self.breakpoints = _breakpoints(circuit, t_stop)
+        self._cursor = 0
+        self.n_nodes = 0
+        self.hist_t: list[float] = []
+        self.hist_x: list[np.ndarray] = []
+
+    def begin(self, x0: np.ndarray, n_nodes: int) -> None:
+        """Seed the predictor history with the t = 0 solution."""
+        self.n_nodes = n_nodes
+        self.hist_t = [0.0]
+        self.hist_x = [x0.copy()]
+
+    def next_step(self, t: float) -> float:
+        """The step to attempt from ``t``: ``dt``, cut short to land
+        exactly on the next breakpoint or the stop time."""
+        points = self.breakpoints
+        while True:
+            while (self._cursor < len(points)
+                   and points[self._cursor] <= t * (1 + 1e-12)):
+                self._cursor += 1
+            t_limit = (points[self._cursor] if self._cursor < len(points)
+                       else self.t_stop)
+            step = min(self.dt, min(t_limit, self.t_stop) - t)
+            if step > 0.0:
+                return step
+            self._cursor += 1
+
+    def predict(self, t_new: float, rows=None):
+        """``(prediction, estimate order)`` at ``t_new``.
+
+        The polynomial predictor through the accepted history is the
+        LTE reference AND -- being the best available forecast of the
+        solution -- Newton's starting point (a stale start costs
+        several extra iterations per large step).  While the history
+        is still rebuilding after t = 0 or a waveform corner, a shorter
+        (lower-order) predictor is used: its divided-difference LTE
+        estimate is conservative for the trap step, which beats taking
+        the step blind.  ``(None, 0)`` when the history holds fewer
+        than two points or the extrapolation is non-finite over
+        ``rows``.
+        """
+        if len(self.hist_t) < 2:
+            return None, 0
+        k = min(self.order + 1, len(self.hist_t))
+        candidate = _predict(t_new, self.hist_t, self.hist_x, k)
+        if not np.all(np.isfinite(candidate if rows is None
+                                  else candidate[rows])):
+            return None, 0
+        return candidate, k - 1
+
+    def lte_norms(self, t_new: float, x_new: np.ndarray,
+                  x_pred: np.ndarray, order: int, rows=None):
+        """Estimated LTE over the node voltages, normalised to the
+        ``reltol``/``abstol`` target (``<= 1`` accepts the step): a
+        scalar for a solution vector, one norm per row of a stack.
+
+        The predictor difference ``x_new - p(t_new)`` equals
+        ``prod(t_new - t_i) * DD_{k}`` with ``DD_k`` the k-th divided
+        difference including the new point, which yields the standard
+        truncation-error estimates ``dt^3 x'''/12`` (trap,
+        ``x''' ~ 6 DD3``) and ``dt^2 x''/2`` (BE, ``x'' ~ 2 DD2``).
+        """
+        x_last = self.hist_x[-1]
+        if rows is not None:
+            x_new, x_pred, x_last = x_new[rows], x_pred[rows], x_last[rows]
+        n = self.n_nodes
+        if n == 0:
+            return np.zeros(x_new.shape[:-1])
+        hist_t = self.hist_t
+        err = np.abs(x_new[..., :n] - x_pred[..., :n])
+        dt = t_new - hist_t[-1]
+        if order == 2:
+            w = (dt * (t_new - hist_t[-2]) * (t_new - hist_t[-3]))
+            lte = err * (dt ** 3) / (2.0 * w)
+        else:
+            w = dt * (t_new - hist_t[-2])
+            lte = err * (dt ** 2) / w
+        options = self.options
+        tol = options.abstol + options.reltol * np.maximum(
+            np.abs(x_new[..., :n]), np.abs(x_last[..., :n]))
+        return np.max(lte / (options.trtol * tol), axis=-1)
+
+    def can_reject(self, order: int) -> bool:
+        """Whether an estimate of ``order`` may reject a step.
+
+        A reduced-order estimate (history still rebuilding after a
+        corner; trap stepping but only a linear predictor)
+        systematically *overstates* the trap error, so it steers the
+        next step size but must not reject -- post-corner steps are
+        restarted small, and full-order control resumes one step later.
+        """
+        return order == self.order
+
+    def at_floor(self, step: float) -> bool:
+        """The step is ``dt_min``: an LTE miss is accepted, not retried."""
+        return step <= self.dt_min * (1.0 + 1e-9)
+
+    def lte_retry(self, step: float, err_norm: float, order: int) -> float:
+        """The smaller step to retry after an LTE rejection."""
+        factor = max(_LTE_MIN_SHRINK,
+                     min(0.9, _lte_factor(err_norm, order)))
+        return max(self.dt_min, step * factor)
+
+    @staticmethod
+    def newton_retry(step: float) -> float:
+        """The smaller step to retry after a Newton failure."""
+        return step / 4.0
+
+    def accept(self, t: float, x: np.ndarray, step: float,
+               err_norm: float | None, order: int) -> None:
+        """Advance the policy past a step of ``step`` committed at ``t``
+        with solution ``x`` (kept, not copied) and LTE estimate
+        ``err_norm`` of ``order`` (None: none was available)."""
+        points = self.breakpoints
+        cursor = self._cursor
+        if cursor < len(points) and t >= points[cursor] * (1 - 1e-12):
+            # Waveform corner: restart the predictor history so no
+            # polynomial spans the derivative discontinuity.  The
+            # landing sample itself is excluded too -- it holds the
+            # *pre-edge* source values, which would poison the
+            # extrapolation of every driven node.  The first step past
+            # the corner runs without an LTE check, so it is restarted
+            # small relative to the upcoming breakpoint interval; the
+            # controller grows it back once the estimator is online.
+            self.hist_t = []
+            self.hist_x = []
+            gap = (points[cursor + 1] if cursor + 1 < len(points)
+                   else self.t_stop) - t
+            self.dt = max(self.dt_min,
+                          min(step, gap * _BREAKPOINT_RESTART_FRACTION))
+            return
+        self.hist_t.append(t)
+        self.hist_x.append(x)
+        if len(self.hist_t) > self.order + 1:
+            del self.hist_t[0], self.hist_x[0]
+        if err_norm is None:
+            # No estimate yet (history still rebuilding after t=0 or a
+            # waveform corner): hold dt -- blind growth here is what
+            # causes spurious rejections once the estimator comes back
+            # online.
+            factor = 1.0
+        else:
+            factor = min(_LTE_MAX_GROWTH,
+                         max(0.3, _lte_factor(err_norm, order)))
+        self.dt = min(self.dt_max, max(self.dt_min, step * factor))
 
 
 def transient(circuit: Circuit, t_stop: float,
@@ -308,13 +439,8 @@ def transient(circuit: Circuit, t_stop: float,
         options = replace(options, max_wall_time=max_wall_time)
     if options.method not in ("trap", "be"):
         raise NetlistError(f"unknown method {options.method!r}")
-    if options.step_control not in ("lte", "legacy"):
-        raise NetlistError(
-            f"step_control must be 'lte' or 'legacy', "
-            f"got {options.step_control!r}")
     with telemetry.span("transient", circuit=circuit.name,
-                        t_stop=t_stop, method=options.method,
-                        step_control=options.step_control) as tspan:
+                        t_stop=t_stop, method=options.method) as tspan:
         return _transient_run(circuit, t_stop, options, initial_op, tspan,
                               scope)
 
@@ -323,36 +449,9 @@ def _transient_run(circuit: Circuit, t_stop: float,
                    options: TransientOptions,
                    initial_op: OpResult | None, tspan,
                    scope: "ScopeSession | None" = None) -> TranResult:
-    dt = options.dt_initial or t_stop / 1000.0
-    dt_min = options.dt_min or t_stop * 1e-9
-    dt_max = options.dt_max or t_stop / 50.0
-    dt = min(dt, dt_max)
-    legacy = options.step_control == "legacy"
-    newton_options = options.newton
-    deadline = None
-    if options.max_wall_time is not None:
-        # One absolute deadline covers the whole run; it is also
-        # threaded into the per-step Newton solves so a single stuck
-        # solve cannot outlive the budget.  When unset (the default)
-        # the options are untouched -- the legacy bit-compat contract.
-        deadline = _time.perf_counter() + options.max_wall_time
-        newton_options = replace(newton_options, deadline=deadline)
-    if legacy:
-        # Bit-compatibility mode: the pre-LTE heuristic must execute
-        # the historical instruction sequence exactly, so the chord /
-        # LU-reuse fast path is pinned off as well (including for the
-        # initial operating point feeding the waveform).
-        newton_options = replace(newton_options, lu_reuse=False)
-    else:
-        # Under LTE control the waveform accuracy contract is
-        # (reltol, abstol); resolving each nonlinear solve tighter than
-        # the absolute waveform tolerance is wasted iterations, so the
-        # Newton update tolerance is raised to ``abstol`` (a tighter
-        # user-set ``vntol`` is honoured by lowering ``abstol``).
-        newton_options = replace(
-            newton_options,
-            vntol=max(newton_options.vntol, options.abstol))
-    order = 2 if options.method == "trap" else 1
+    control = StepController(circuit, t_stop, options)
+    newton_options = control.newton
+    deadline = control.deadline
 
     if initial_op is None:
         initial_op = operating_point(circuit, newton_options)
@@ -375,9 +474,6 @@ def _transient_run(circuit: Circuit, t_stop: float,
     else:
         q_prev = np.array([term.q for term in compiled.charge_terms(x)])
     i_prev = np.zeros(len(q_prev))
-
-    breakpoints = _breakpoints(circuit, t_stop)
-    bp_cursor = 0
 
     # Dense recording keeps the full MNA vector of every accepted step
     # and transposes into per-node waveforms once at the end -- a
@@ -402,14 +498,8 @@ def _transient_run(circuit: Circuit, t_stop: float,
     # One factorization is carried across iterations *and* accepted
     # steps; keyed on the companion coefficient so any dt change
     # refactorizes.
-    lu_state = LuReuseState() if newton_options.lu_reuse else None
-    n_nodes = len(compiled.node_index)
-    # Predictor history for the LTE estimator: the last (order + 1)
-    # accepted points.  Truncated whenever a breakpoint is crossed --
-    # the input waveform has a derivative corner there and a polynomial
-    # must not extrapolate across it.
-    hist_t: list[float] = [0.0]
-    hist_x: list[np.ndarray] = [x.copy()]
+    lu_state = LuReuseState()
+    control.begin(x, len(compiled.node_index))
 
     def reject(kind: str, t: float, step: float, err_norm=None) -> None:
         step_log.record_rejection(t, kind)
@@ -438,15 +528,7 @@ def _transient_run(circuit: Circuit, t_stop: float,
                 f"({t / t_stop:.0%} of t_stop) in {circuit.name} "
                 f"({step_log.describe()})",
                 diagnostics=step_log, stage="wall-clock")
-        # Snap the step onto the next breakpoint or the stop time.
-        while bp_cursor < len(breakpoints) and breakpoints[bp_cursor] <= t * (1 + 1e-12):
-            bp_cursor += 1
-        t_limit = breakpoints[bp_cursor] if bp_cursor < len(breakpoints) else t_stop
-        t_limit = min(t_limit, t_stop)
-        step = min(dt, t_limit - t)
-        if step <= 0.0:
-            bp_cursor += 1
-            continue
+        step = control.next_step(t)
 
         accepted = False
         err_norm: float | None = None
@@ -472,26 +554,10 @@ def _transient_run(circuit: Circuit, t_stop: float,
                             st.add_j(term.pos, col, c0 * dqdv)
                             st.add_j(term.neg, col, -c0 * dqdv)
 
-            if lu_state is not None:
-                # dt (hence c0) changed => the dynamic stamps changed
-                # => any held factorization is stale.
-                lu_state.ensure_key(c0)
-            # Polynomial predictor through the accepted history: the
-            # LTE reference AND -- being the best available forecast of
-            # the solution -- Newton's starting point (a stale x_prev
-            # start costs several extra iterations per large step).
-            # While the history is still rebuilding after a waveform
-            # corner, a shorter (lower-order) predictor is used: its
-            # divided-difference LTE estimate is conservative for the
-            # trap step, which beats taking the step blind.
-            x_pred = None
-            pred_order = 0
-            if not legacy and len(hist_t) >= 2:
-                k = min(order + 1, len(hist_t))
-                candidate = _predict(t_new, hist_t, hist_x, k)
-                if np.all(np.isfinite(candidate)):
-                    x_pred = candidate
-                    pred_order = k - 1
+            # dt (hence c0) changed => the dynamic stamps changed =>
+            # any held factorization is stale.
+            lu_state.ensure_key(c0)
+            x_pred, pred_order = control.predict(t_new)
             try:
                 x_new, iters = _newton(compiled,
                                        x if x_pred is None else x_pred,
@@ -512,38 +578,29 @@ def _transient_run(circuit: Circuit, t_stop: float,
                         f"in {circuit.name} ({step_log.describe()})",
                         diagnostics=step_log, stage="wall-clock")
                 reject("newton", t, step)
-                step /= 4.0
-                if step < dt_min:
+                step = control.newton_retry(step)
+                if step < control.dt_min:
                     raise ConvergenceError(
                         f"transient stalled at t={t:.3e}s in "
-                        f"{circuit.name} (dt below {dt_min:.1e}; "
+                        f"{circuit.name} (dt below {control.dt_min:.1e}; "
                         f"{step_log.describe()})",
                         diagnostics=step_log, stage="dt-min")
                 continue
 
             err_norm = None
             if x_pred is not None:
-                err_norm = _lte_norm(t_new, x_new, x_pred, hist_t,
-                                     hist_x, n_nodes, pred_order,
-                                     options)
-                # A reduced-order estimate (history still rebuilding
-                # after a corner; trap stepping but only a linear
-                # predictor) systematically *overstates* the trap
-                # error, so it steers the next step size but must not
-                # reject -- post-corner steps are restarted small, and
-                # full-order control resumes one step later.
-                if err_norm > 1.0 and pred_order == order:
-                    if step <= dt_min * (1.0 + 1e-9):
+                err_norm = float(control.lte_norms(t_new, x_new, x_pred,
+                                                   pred_order))
+                if err_norm > 1.0 and control.can_reject(pred_order):
+                    if control.at_floor(step):
                         # The floor wins: accept rather than stall --
                         # but leave a forensic marker.
                         tspan.event("lte-floor", t=t, dt=step,
                                     err_norm=err_norm)
                     else:
                         reject("lte", t, step, err_norm)
-                        factor = max(_LTE_MIN_SHRINK,
-                                     min(0.9, _lte_factor(err_norm,
-                                                          pred_order)))
-                        step = max(dt_min, step * factor)
+                        step = control.lte_retry(step, err_norm,
+                                                 pred_order)
                         continue
             accepted = True
 
@@ -567,48 +624,7 @@ def _transient_run(circuit: Circuit, t_stop: float,
             samples.append(x_new)
         if scope is not None:
             scope._on_sample(t, x_new)
-
-        if legacy:
-            # Adapt: the accepted step may have been shortened by a
-            # breakpoint; grow the nominal dt gently either way.
-            dt = min(dt_max, max(step * 1.4, dt * 0.5))
-        else:
-            landed_on_breakpoint = (
-                bp_cursor < len(breakpoints)
-                and t >= breakpoints[bp_cursor] * (1 - 1e-12))
-            if landed_on_breakpoint:
-                # Waveform corner: restart the predictor history so no
-                # polynomial spans the derivative discontinuity.  The
-                # landing sample itself is excluded too -- it holds the
-                # *pre-edge* source values, which would poison the
-                # extrapolation of every driven node.  The first step
-                # past the corner runs without an LTE check, so it is
-                # restarted small relative to the upcoming breakpoint
-                # interval; the controller grows it back once the
-                # estimator is online.
-                hist_t = []
-                hist_x = []
-                gap = (breakpoints[bp_cursor + 1]
-                       if bp_cursor + 1 < len(breakpoints)
-                       else t_stop) - t
-                dt = max(dt_min,
-                         min(step, gap * _BREAKPOINT_RESTART_FRACTION))
-            else:
-                hist_t.append(t)
-                hist_x.append(x)
-                if len(hist_t) > order + 1:
-                    del hist_t[0], hist_x[0]
-                if err_norm is None:
-                    # No estimate yet (history still rebuilding after
-                    # t=0 or a waveform corner): hold dt -- blind
-                    # growth here is what causes spurious rejections
-                    # once the estimator comes back online.
-                    factor = 1.0
-                else:
-                    factor = min(_LTE_MAX_GROWTH,
-                                 max(0.3, _lte_factor(err_norm,
-                                                      pred_order)))
-                dt = min(dt_max, max(dt_min, step * factor))
+        control.accept(t, x, step, err_norm, pred_order)
 
     tspan.annotate(steps_accepted=step_log.steps_accepted,
                    steps_rejected=step_log.steps_rejected,

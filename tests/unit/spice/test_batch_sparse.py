@@ -17,6 +17,7 @@ from repro.errors import AnalysisError, NetlistError
 from repro.spice import (
     Circuit,
     LaneSpec,
+    LuReuseState,
     NewtonOptions,
     apply_lane,
     batch_operating_point,
@@ -208,7 +209,7 @@ class TestSparseDegradation:
         res = rng.normal(size=(3, 3))
         dX, fresh = _solve_stacked_sparse(
             system, vals, res, np.arange(3), 3, NewtonOptions(),
-            None, None)
+            [LuReuseState() for _ in range(3)], np.full(3, np.inf), None)
         for k in (0, 2):
             np.testing.assert_allclose(
                 dX[k], np.linalg.solve(jac[k], -res[k]), rtol=1e-9)

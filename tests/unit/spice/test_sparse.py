@@ -17,15 +17,13 @@ import pytest
 from repro import telemetry
 from repro.devices.diode import Diode, DiodeParameters
 from repro.errors import NetlistError
-from repro.spice import (Circuit, NewtonOptions, PseudoTransientStrategy,
-                         SourceSteppingStrategy, operating_point)
+from repro.spice import (Circuit, LuReuseState, NewtonOptions,
+                         PseudoTransientStrategy, SourceSteppingStrategy,
+                         operating_point)
 from repro.spice.elements import Element, Stamper
 from repro.spice.sparse import (SPARSE_AUTO_THRESHOLD, SparseStamper,
-                                SparseSystem, sparse_available)
+                                SparseSystem)
 from repro.stscl.netlist_gen import stscl_inverter_circuit
-
-pytestmark = pytest.mark.skipif(not sparse_available(),
-                                reason="scipy.sparse unavailable")
 
 DIODE = Diode(DiodeParameters(name="junction", i_s=1e-16))
 
@@ -302,7 +300,8 @@ class TestCachedOrdering:
         res = np.random.default_rng(1).normal(size=(3, system.size))
         dX, fresh = _solve_stacked_sparse(
             system, vals, res, np.arange(3), system.size,
-            NewtonOptions(), None, None)
+            NewtonOptions(), [LuReuseState() for _ in range(3)],
+            np.full(3, np.inf), None)
         singular = _dense(rows, cols, vals[1], system.size)
         expected, *_ = np.linalg.lstsq(singular, -res[1], rcond=None)
         assert np.array_equal(dX[1], expected)
@@ -323,7 +322,8 @@ class TestCachedOrdering:
         res = np.random.default_rng(2).normal(size=(3, system.size))
         dX, _ = _solve_stacked_sparse(
             system, vals, res, np.arange(3), system.size,
-            NewtonOptions(), None, None)
+            NewtonOptions(), [LuReuseState() for _ in range(3)],
+            np.full(3, np.inf), None)
         assert system.perm_c is not None
         for k in range(3):
             np.testing.assert_allclose(

@@ -222,8 +222,8 @@ def _stscl_chain_circuit():
 
 class TestConvergenceOrder:
     """Empirical order study on a sine-driven RC with a closed-form
-    solution: halving a fixed legacy step must divide the max error by
-    ~4 for trapezoid (2nd order) and ~2 for backward Euler (1st)."""
+    solution: halving a fixed step must divide the max error by ~4 for
+    trapezoid (2nd order) and ~2 for backward Euler (1st)."""
 
     R, C = 1e6, 1e-12
     F0 = 200e3  # period 5 us against tau = 1 us
@@ -245,8 +245,7 @@ class TestConvergenceOrder:
 
     def _max_error(self, method, h):
         result = transient(self._sine_rc(), 5e-6, TransientOptions(
-            method=method, step_control="legacy",
-            dt_initial=h, dt_max=h))
+            method=method, dt_initial=h, dt_min=h, dt_max=h))
         return float(np.max(np.abs(result.voltage("out")
                                    - self._exact(result.time))))
 
@@ -267,18 +266,22 @@ class TestConvergenceOrder:
 
 class TestLuReuseEquivalence:
     """The modified-Newton LU-reuse fast path must be an implementation
-    detail: answers match the always-refactorize path to <= 1e-9."""
+    detail: answers match the always-refactorize path
+    (``lu_contraction=0.0``) to <= 1e-9."""
 
     def test_transient_waveforms_match(self):
         from repro.spice import NewtonOptions
 
         runs = {}
-        for reuse in (True, False):
+        for mode, contraction in (("on", NewtonOptions().lu_contraction),
+                                  ("off", 0.0)):
             circuit, t_d = _stscl_chain_circuit()
-            runs[reuse] = transient(circuit, 6 * t_d, TransientOptions(
-                step_control="legacy", dt_max=t_d / 10.0,
-                newton=NewtonOptions(lu_reuse=reuse)))
-        on, off = runs[True], runs[False]
+            h = t_d / 10.0
+            runs[mode] = transient(circuit, 6 * t_d, TransientOptions(
+                dt_initial=h, dt_min=h, dt_max=h,
+                newton=NewtonOptions(max_iterations=60,
+                                     lu_contraction=contraction)))
+        on, off = runs["on"], runs["off"]
         assert np.array_equal(on.time, off.time)
         for node in on.voltages:
             assert np.max(np.abs(on.voltage(node)
@@ -294,45 +297,16 @@ class TestLuReuseEquivalence:
         high, low = vdd, vdd - design.v_sw
         values = list(np.linspace(low, high, 11))
         sweeps = {}
-        for reuse in (True, False):
+        for mode, contraction in (("on", NewtonOptions().lu_contraction),
+                                  ("off", 0.0)):
             circuit, _ = stscl_inverter_circuit(design, vdd, high, low)
-            sweeps[reuse] = dc_sweep(circuit, "vinp", values,
-                                     NewtonOptions(lu_reuse=reuse))
-        on, off = sweeps[True], sweeps[False]
+            sweeps[mode] = dc_sweep(
+                circuit, "vinp", values,
+                NewtonOptions(lu_contraction=contraction))
+        on, off = sweeps["on"], sweeps["off"]
         for node in on.points[0].voltages:
             assert np.max(np.abs(on.voltage(node)
                                  - off.voltage(node))) <= 1e-9
-
-
-class TestLegacyBitCompat:
-    """``step_control="legacy"`` must stay bit-identical: the LTE
-    tolerance knobs and the LU-reuse flag may not perturb its output."""
-
-    def _run(self, **overrides):
-        circuit, t_d = _stscl_chain_circuit()
-        options = TransientOptions(step_control="legacy",
-                                   dt_max=t_d / 10.0, **overrides)
-        return transient(circuit, 6 * t_d, options)
-
-    def _assert_bitwise_equal(self, a, b):
-        assert np.array_equal(a.time, b.time)
-        assert set(a.voltages) == set(b.voltages)
-        for node in a.voltages:
-            assert np.array_equal(a.voltage(node), b.voltage(node)), node
-
-    def test_lte_tolerances_do_not_leak_into_legacy(self):
-        baseline = self._run()
-        perturbed = self._run(reltol=1e-1, abstol=1e-2, trtol=100.0)
-        self._assert_bitwise_equal(baseline, perturbed)
-
-    def test_lu_reuse_flag_does_not_perturb_legacy(self):
-        from repro.spice import NewtonOptions
-
-        baseline = self._run()
-        reused = self._run(newton=NewtonOptions(lu_reuse=True))
-        direct = self._run(newton=NewtonOptions(lu_reuse=False))
-        self._assert_bitwise_equal(baseline, reused)
-        self._assert_bitwise_equal(baseline, direct)
 
 
 class TestLteController:
